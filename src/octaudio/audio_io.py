@@ -65,8 +65,9 @@ def read_wav(path):
     Unknown chunks are skipped. Returns an AudioBuffer with int16 samples
     divided by 32768 and float samples taken as-is.
 
-    Raises ParseError for malformed containers, UnsupportedFormat for other
-    codecs/bit-depths/channel counts, IoError if the file cannot be read.
+    Raises ParseError for malformed containers or non-finite float samples,
+    UnsupportedFormat for other codecs/bit-depths/channel counts, IoError if
+    the file cannot be read.
     """
     try:
         with open(path, "rb") as fh:
@@ -120,6 +121,8 @@ def read_wav(path):
         raise ParseError(f"{path}: data chunk is not a whole number of frames")
 
     flat = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
+    if dtype.kind == "f" and not np.all(np.isfinite(flat)):
+        raise ParseError(f"{path}: non-finite float samples")
     return AudioBuffer(flat.reshape(-1, channels), sample_rate)
 
 

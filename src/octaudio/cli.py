@@ -232,7 +232,8 @@ def cmd_sample(args):
     os.makedirs(args.out_dir, exist_ok=True)
     started = time.time()
     z = rng.standard_normal((args.count, cfg.latent_dim))
-    batch = generator(ad.constant(z), params, cfg).data
+    with ad.no_grad():
+        batch = generator(ad.constant(z), params, cfg).data
     for i in range(args.count):
         tensor = MdctTensor(batch[i], sample_rate)
         buf = mdct_inverse(tensor)

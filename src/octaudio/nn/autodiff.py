@@ -11,6 +11,7 @@ pass runs with graph recording switched off and returns plain values.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
 
@@ -252,7 +253,58 @@ def matmul(a, b):
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter / slicing (all linear)
+# strided patches / slicing (all linear)
+
+def unfold(a, kernel, strides):
+    """Strided patch extraction: (B, Mp, Np, C) -> (B, Mo, No, kh, kw, C).
+
+    out[:, i, j, di, dj] = a[:, i*sm + di, j*sk + dj] with
+    Mo = (Mp - kh) // sm + 1 and No = (Np - kw) // sk + 1.
+    """
+    a = _as_tensor(a)
+    (kh, kw), (sm, sk) = kernel, strides
+    if a.ndim != 4 or a.shape[1] < kh or a.shape[2] < kw:
+        raise ShapeError(f"unfold of {a.shape} needs (B, >={kh}, >={kw}, C)")
+    windows = sliding_window_view(a.data, (kh, kw), axis=(1, 2))[:, ::sm, ::sk]
+    data = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    return Tensor(
+        data,
+        (a,),
+        (lambda g, size=a.shape[1:3]: fold(g, strides, size),),
+    )
+
+
+def fold(a, strides, size):
+    """Adjoint of unfold: sum (B, Mo, No, kh, kw, C) patches into a
+    (B, Mp, Np, C) grid with (Mp, Np) = size.
+
+    Kernel offsets are added in reverse lexicographic order, so each grid
+    cell sums its terms in ascending patch order, exactly like an
+    element-by-element scatter over the patches.
+    """
+    a = _as_tensor(a)
+    if a.ndim != 6:
+        raise ShapeError("fold expects (B, Mo, No, kh, kw, C)")
+    batch, mo, no, kh, kw, channels = a.shape
+    (sm, sk), (mp, np_) = strides, size
+    if (mp - kh) // sm + 1 != mo or (np_ - kw) // sk + 1 != no:
+        raise ShapeError(f"fold of {a.shape} does not tile a {mp} x {np_} grid")
+    out = np.zeros((batch, mp, np_, channels))
+    for di in range(kh - 1, -1, -1):
+        rows = slice(di, di + (mo - 1) * sm + 1, sm)
+        for dj in range(kw - 1, -1, -1):
+            out[:, rows, dj:dj + (no - 1) * sk + 1:sk] += a.data[:, :, :, di, dj]
+    return Tensor(
+        out,
+        (a,),
+        (lambda g: unfold(g, (kh, kw), strides),),
+    )
+
+
+# take_axis1 and scatter_axis1 are the index-map gather/scatter that unfold
+# and fold replaced; no layer calls them. The benchmark's per-layer metric
+# list still names them and its traced mode stops on a name it cannot find,
+# so they stay until that list drops them.
 
 def take_axis1(a, indices):
     """a[:, indices, :] for a of shape (B, P, C)."""
@@ -291,14 +343,18 @@ def slice_axis(a, axis, start, stop):
 
 def pad_axis(a, axis, before, after):
     a = _as_tensor(a)
+    length = a.shape[axis]
     if before == 0 and after == 0:
-        widths = None
+        data = a.data
     else:
-        widths = [(0, 0)] * a.ndim
-        widths[axis] = (before, after)
-    data = a.data if widths is None else np.pad(a.data, widths)
+        shape = list(a.shape)
+        shape[axis] += before + after
+        data = np.zeros(shape)
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(before, before + length)
+        data[tuple(index)] = a.data
 
-    def backward(g, length=a.shape[axis]):
+    def backward(g):
         return slice_axis(g, axis, before, before + length)
 
     return Tensor(data, (a,), (backward,))

@@ -2,10 +2,9 @@
 
 Convolutions use SAME padding: with stride s the output length is
 ceil(in/s), so strided layers divide an axis exactly and transposed layers
-multiply it exactly. Gather/scatter index maps are cached per geometry.
+multiply it exactly. A convolution is pad -> strided unfold -> matmul, and a
+transposed convolution is its adjoint: matmul -> fold -> crop.
 """
-
-import numpy as np
 
 from ..errors import ShapeError
 from . import autodiff as ad
@@ -17,27 +16,6 @@ def _pad_amounts(length, kernel, stride):
     out = -(-length // stride)
     total = max((out - 1) * stride + kernel - length, 0)
     return total // 2, total - total // 2
-
-
-_IDX_CACHE = {}
-
-
-def _conv_indices(m, n, kh, kw, sm, sk):
-    """Flat patch indices into the padded (Mp, Np) grid, plus crop data."""
-    key = ("conv", m, n, kh, kw, sm, sk)
-    hit = _IDX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    before_m, after_m = _pad_amounts(m, kh, sm)
-    before_n, after_n = _pad_amounts(n, kw, sk)
-    mp, np_ = m + before_m + after_m, n + before_n + after_n
-    mo, no = -(-m // sm), -(-n // sk)
-    i = np.arange(mo)[:, None, None, None] * sm + np.arange(kh)[None, None, :, None]
-    j = np.arange(no)[None, :, None, None] * sk + np.arange(kw)[None, None, None, :]
-    flat = (i * np_ + j).reshape(-1)
-    result = (flat, (before_m, after_m, before_n, after_n), (mp, np_), (mo, no))
-    _IDX_CACHE[key] = result
-    return result
 
 
 def conv2d(x, weights, bias, strides):
@@ -58,10 +36,10 @@ def conv2d(x, weights, bias, strides):
         out = ad.add(out, bias)
         return ad.reshape(out, (batch, m, n, cout))
 
-    flat_idx, pads, (mp, np_), (mo, no) = _conv_indices(m, n, kh, kw, sm, sk)
-    h = ad.pad_axis(ad.pad_axis(x, 1, pads[0], pads[1]), 2, pads[2], pads[3])
-    h = ad.reshape(h, (batch, mp * np_, cin))
-    patches = ad.take_axis1(h, flat_idx)                  # (B, Mo*No*kh*kw, Cin)
+    h = ad.pad_axis(x, 1, *_pad_amounts(m, kh, sm))
+    h = ad.pad_axis(h, 2, *_pad_amounts(n, kw, sk))
+    patches = ad.unfold(h, (kh, kw), (sm, sk))            # (B, Mo, No, kh, kw, Cin)
+    mo, no = patches.shape[1:3]
     patches = ad.reshape(patches, (batch * mo * no, kh * kw * cin))
     out = ad.matmul(patches, ad.reshape(weights, (kh * kw * cin, cout)))
     out = ad.add(out, bias)
@@ -82,17 +60,18 @@ def transposed_conv2d(x, weights, bias, strides):
         )
     sm, sk = strides
     mo, no = m * sm, n * sk
-    flat_idx, pads, (mp, np_), _ = _conv_indices(mo, no, kh, kw, sm, sk)
+    before_m, after_m = _pad_amounts(mo, kh, sm)
+    before_n, after_n = _pad_amounts(no, kw, sk)
 
     # (kh, kw, Cin, Cout) -> (Cin, kh*kw*Cout) so each source cell emits one
-    # (kh, kw, Cout)-ordered row, matching the scatter index layout
+    # (kh, kw, Cout) patch, the layout fold sums into the padded grid
     w2d = ad.reshape(ad.permute(weights, (2, 0, 1, 3)), (cin, kh * kw * cout))
     t = ad.matmul(ad.reshape(x, (batch * m * n, cin)), w2d)
-    t = ad.reshape(t, (batch, m * n * kh * kw, cout))
-    spread = ad.scatter_axis1(t, flat_idx, mp * np_)
-    spread = ad.reshape(spread, (batch, mp, np_, cout))
-    cropped = ad.slice_axis(spread, 1, pads[0], pads[0] + mo)
-    cropped = ad.slice_axis(cropped, 2, pads[2], pads[2] + no)
+    t = ad.reshape(t, (batch, m, n, kh, kw, cout))
+    size = (before_m + mo + after_m, before_n + no + after_n)
+    spread = ad.fold(t, (sm, sk), size)
+    cropped = ad.slice_axis(spread, 1, before_m, before_m + mo)
+    cropped = ad.slice_axis(cropped, 2, before_n, before_n + no)
     return ad.add(cropped, bias)
 
 

@@ -11,6 +11,7 @@ before the deepest discriminator block.
 """
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -268,34 +269,67 @@ def save_checkpoint(path, params, cfg, iteration=0, extra=None):
 
 
 def load_checkpoint(path):
-    """Returns (params dict of Tensors, ModelConfig, iteration, extra dict)."""
+    """Returns (params dict of Tensors, ModelConfig, iteration, extra dict).
+
+    Every read is bounds-checked; a truncated or malformed file, metadata
+    that is not a model description, non-finite weights, or tensors that do
+    not match the generator of that model raise ParseError.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ParseError(f"{path}: not a checkpoint file")
-    version, meta_len = struct.unpack_from("<II", blob, 4)
+    pos = 4
+
+    def take(count):
+        nonlocal pos
+        if count > len(blob) - pos:
+            raise ParseError(
+                f"{path}: truncated checkpoint: needs {count} bytes at offset "
+                f"{pos}, {len(blob) - pos} left"
+            )
+        pos += count
+        return blob[pos - count:pos]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    version, meta_len = unpack("<II")
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
-    meta = json.loads(blob[pos:pos + meta_len].decode("utf-8"))
-    pos += meta_len
-    (count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+    try:
+        meta = json.loads(str(take(meta_len), "utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{path}: checkpoint metadata is not JSON: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("model"), dict):
+        raise ParseError(f"{path}: checkpoint metadata has no model entry")
+    extra = meta.get("extra", {})
+    iteration = meta.get("iteration", 0)
+    if not isinstance(extra, dict) or not isinstance(iteration, int):
+        raise ParseError(f"{path}: checkpoint iteration or extra is malformed")
+    try:
+        model = dict(meta["model"], channels=tuple(meta["model"]["channels"]))
+        cfg = ModelConfig(**model)
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise ParseError(f"{path}: checkpoint model is invalid: {exc}") from exc
+
+    (count,) = unpack("<I")
     params = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, pos)
-        pos += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(blob, dtype="<f8", count=size, offset=pos)
-        pos += 8 * size
-        params[name] = ad.parameter(data.reshape(shape).copy())
-    model = meta["model"]
-    model["channels"] = tuple(model["channels"])
-    cfg = ModelConfig(**model)
-    return params, cfg, int(meta.get("iteration", 0)), meta.get("extra", {})
+        (name_len,) = unpack("<H")
+        try:
+            name = str(take(name_len), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: bad tensor name: {exc}") from exc
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        if not np.all(np.isfinite(data)):
+            raise ParseError(f"{path}: tensor {name} holds non-finite values")
+        params[name] = ad.parameter(data.reshape(shape))
+    if pos != len(blob):
+        raise ParseError(f"{path}: {len(blob) - pos} trailing bytes after tensors")
+    for name, shape in generator_param_shapes(cfg).items():
+        if name not in params or params[name].shape != shape:
+            raise ParseError(f"{path}: tensor {name} missing or not {shape}")
+    return params, cfg, iteration, extra

@@ -64,6 +64,17 @@ def test_read_float32(tmp_path):
     np.testing.assert_allclose(buf.samples[:, 0], [0.25, -0.75])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_float32_non_finite_is_parse_error(tmp_path, bad):
+    data = np.array([0.25, bad, -0.75], dtype="<f4").tobytes()
+    path = tmp_path / "t.wav"
+    path.write_bytes(
+        make_wav_bytes(None, audio_format=3, bits=32, data_override=data)
+    )
+    with pytest.raises(ParseError):
+        read_wav(path)
+
+
 def test_read_odd_data_chunk_is_parse_error(tmp_path):
     # five bytes of stereo int16 data: not a whole number of frames
     blob = make_wav_bytes(None, channels=2, data_override=b"\x01\x02\x03\x04\x05")

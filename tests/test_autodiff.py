@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octaudio.errors import ShapeError
 from octaudio.nn import autodiff as ad
@@ -125,6 +127,64 @@ def test_take_scatter_are_adjoint():
     lhs = np.sum(ad.take_axis1(ad.constant(x), idx).data * y)
     rhs = np.sum(ad.scatter_axis1(ad.constant(y), idx, 5).data * x)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def scatter_reference(patches, strides, size):
+    """np.add.at over flat patch indices: the index-map scatter that fold
+    replaced, kept as its bit-for-bit oracle."""
+    batch, mo, no, kh, kw, channels = patches.shape
+    (sm, sk), (mp, np_) = strides, size
+    i = np.arange(mo)[:, None, None, None] * sm + np.arange(kh)[None, None, :, None]
+    j = np.arange(no)[None, :, None, None] * sk + np.arange(kw)[None, None, None, :]
+    flat = (i * np_ + j).reshape(-1)
+    out = np.zeros((batch, mp * np_, channels))
+    np.add.at(out, (slice(None), flat), patches.reshape(batch, -1, channels))
+    return out.reshape(batch, mp, np_, channels), flat
+
+
+def test_unfold_fold_grads():
+    rng = np.random.default_rng(7)
+    a = leaf(rng, (2, 7, 5, 3))
+    assert_grads_match(
+        lambda: ad.sum_along(ad.power(ad.unfold(a, (3, 2), (2, 1)), 2.0)), [a]
+    )
+    b = leaf(rng, (2, 3, 4, 3, 2, 3))
+    assert_grads_match(
+        lambda: ad.sum_along(ad.power(ad.fold(b, (2, 1), (7, 5)), 2.0)), [b]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 8), st.integers(1, 4),
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 2 ** 32 - 1),
+)
+def test_unfold_fold_are_adjoint(batch, channels, kh, kw, sm, sk, mo, no,
+                                 extra_m, extra_n, seed):
+    # any grid whose last partial stride holds no further patch
+    mp = (mo - 1) * sm + kh + extra_m % sm
+    np_ = (no - 1) * sk + kw + extra_n % sk
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, mp, np_, channels))
+    y = rng.standard_normal((batch, mo, no, kh, kw, channels))
+    patches = ad.unfold(ad.constant(x), (kh, kw), (sm, sk)).data
+    folded = ad.fold(ad.constant(y), (sm, sk), (mp, np_)).data
+    assert patches.shape == y.shape and folded.shape == x.shape
+    lhs, rhs = np.sum(patches * y), np.sum(x * folded)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), np.sum(np.abs(patches * y)))
+    reference, flat = scatter_reference(y, (sm, sk), (mp, np_))
+    np.testing.assert_array_equal(folded, reference)
+    np.testing.assert_array_equal(
+        patches.reshape(batch, -1, channels),
+        x.reshape(batch, -1, channels)[:, flat],
+    )
+
+
+def test_fold_rejects_a_grid_it_does_not_tile():
+    y = ad.constant(np.zeros((1, 3, 2, 2, 2, 1)))
+    with pytest.raises(ShapeError):
+        ad.fold(y, (2, 1), (8, 3))       # 8 rows hold 4 stride-2 patches, not 3
 
 
 def test_slice_pad_concat_grads():

@@ -1,10 +1,18 @@
 import csv
 import os
+import struct
 
 import numpy as np
+import pytest
 
 from octaudio.audio_io import AudioBuffer, read_wav, write_wav
 from octaudio.cli import main
+from octaudio.nn.model import (
+    ModelConfig,
+    generator_param_shapes,
+    init_params,
+    save_checkpoint,
+)
 
 FS = 22016
 
@@ -63,6 +71,25 @@ def test_analyze_silence_all_zero_tonality(tmp_path):
 def test_analyze_missing_file_exit_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.wav"), str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err != ""
+
+
+def assert_input_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+def test_analyze_non_finite_float_wav_exit_2(tmp_path, capsys):
+    samples = np.sin(np.arange(4096) / 10.0).astype("<f4")
+    samples[1000] = np.nan
+    data = samples.tobytes()
+    fmt = struct.pack("<IHHIIHH", 16, 3, 1, FS, FS * 4, 4, 32)
+    chunks = b"fmt " + fmt + b"data" + struct.pack("<I", len(data)) + data
+    wav = tmp_path / "nan.wav"
+    wav.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+    out = tmp_path / "out"
+    assert main(["analyze", str(wav), str(out)]) == 2
+    assert_input_error(capsys)
+    assert not (out / "thresholds.csv").exists()
 
 
 def test_usage_error_exit_1(capsys):
@@ -207,6 +234,44 @@ def test_train_and_sample_end_to_end(tmp_path, capsys):
     buf = read_wav(samples / wavs[0])
     assert buf.sample_rate_hz == 2048
     assert len(buf) == 8 * 8      # blocks x bands of the toy model
+
+
+def write_toy_checkpoint(path, drop=()):
+    cfg = ModelConfig(latent_dim=6, num_blocks=1, seed_blocks=2, seed_bands=4,
+                      channels=(4, 3), output_channels=1)
+    params = init_params(generator_param_shapes(cfg), np.random.default_rng(0))
+    params = {k: v for k, v in params.items() if k not in drop}
+    save_checkpoint(path, params, cfg, extra={"sample_rate_hz": 2048})
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [
+    lambda blob: b"MP3N\x01\x00\x00\x00",
+    lambda blob: blob[:len(blob) // 2],
+    lambda blob: blob[:40],
+    lambda blob: blob + b"\x00",
+    lambda blob: blob[:-8] + struct.pack("<d", np.nan),
+], ids=["header", "half", "metadata", "trailing-byte", "nan-weight"])
+def test_sample_malformed_checkpoint_exit_2(tmp_path, capsys, cut):
+    checkpoint = tmp_path / "checkpoint.bin"
+    checkpoint.write_bytes(cut(write_toy_checkpoint(checkpoint)))
+    assert main(["sample", str(checkpoint), str(tmp_path / "s")]) == 2
+    assert_input_error(capsys)
+
+
+def test_sample_checkpoint_not_matching_a_model_exit_2(tmp_path, capsys):
+    checkpoint = tmp_path / "checkpoint.bin"
+    blob = write_toy_checkpoint(checkpoint)
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    for meta in (b"[1, 2]", b'{"model": {"latent_dim": 6}}',
+                 b'{"model": {"channels": "ab"}}', b"\xff"):
+        checkpoint.write_bytes(blob[:8] + struct.pack("<I", len(meta)) + meta
+                               + blob[12 + meta_len:])
+        assert main(["sample", str(checkpoint), str(tmp_path / "s")]) == 2
+        assert_input_error(capsys)
+    write_toy_checkpoint(checkpoint, drop={"g.out.W"})
+    assert main(["sample", str(checkpoint), str(tmp_path / "s")]) == 2
+    assert_input_error(capsys)
 
 
 def test_train_bad_config_exit_1(tmp_path, capsys):
