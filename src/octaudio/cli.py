@@ -81,37 +81,37 @@ def cmd_analyze(args):
     spectral.signed_db_image(
         tensor, os.path.join(args.out_dir, "signed_amplitudes.pgm"), args.db_floor
     )
-    spectral.write_tonality_csv(tensor, os.path.join(args.out_dir, "tonality.csv"))
+    tau = spectral.write_tonality_csv(
+        tensor, os.path.join(args.out_dir, "tonality.csv")
+    )
     psycho.write_thresholds_csv(
         tensor, os.path.join(args.out_dir, "thresholds.csv"),
         alpha=args.alpha, db_reference=args.db_reference,
     )
     save_tensor(tensor, os.path.join(args.out_dir, "mdct.bin"))
     say(f"analyzed {args.wav}: {tensor.num_blocks} blocks x {bands} bands, "
-        f"mean tonality {spectral.mean_tonality(tensor):.3f}")
+        f"mean tonality {float(tau.mean()):.3f}")
     say(f"outputs in {args.out_dir}")
     return EXIT_OK
 
 
-def cmd_roundtrip(args):
-    bands = args.bands
-    buf = _read_trimmed(args.wav, bands)
-    tensor = mdct_forward_fast(buf, bands)
-    partition = psycho.bark_partition(buf.sample_rate_hz, bands)
-    noisy = psycho.psychoacoustic_noise(
-        tensor, scale=args.noise, rng_seed=args.seed, partition=partition,
-        alpha=args.alpha, db_reference=args.db_reference,
-    )
-    out = mdct_inverse(noisy)
-    audio_io.write_wav(out, args.out_wav)
+def _add_noise_and_report(tensor, partition, args):
+    """Noisy tensor plus each band's mean added power and its ratio to the
+    inaudible allowance (step/2)^2, which is c^2 at the design point.
 
+    The (M, N, C) intermediates die on return, before the caller's inverse
+    transform allocates its own.
+    """
     thresholds = psycho.compute_thresholds(
         tensor, partition, args.alpha, args.db_reference
     )
+    step = psycho.quantization_step(thresholds.combined, partition)
+    noisy = psycho.psychoacoustic_noise(
+        tensor, scale=args.noise, rng_seed=args.seed, partition=partition,
+        alpha=args.alpha, db_reference=args.db_reference, step=step,
+    )
     added = noisy.amplitudes - tensor.amplitudes
-    # inaudible allowance per bin is (step/2)^2; report each band's mean
-    # added power relative to that allowance (c^2 at the design point)
-    allowance = psycho.quantization_step(thresholds.combined, partition) / 2.0
+    allowance = step / 2.0
     pool = partition.pooling_matrix()
     bins_per_band = pool.sum(axis=0)
     mean_power = np.moveaxis(added * added, 2, 0).mean(axis=(0, 1)) @ pool
@@ -121,6 +121,17 @@ def cmd_roundtrip(args):
     ratio = (
         np.moveaxis(normalized, 2, 0).mean(axis=(0, 1)) @ pool
     ) / np.maximum(bins_per_band, 1)
+    return noisy, mean_power, ratio
+
+
+def cmd_roundtrip(args):
+    bands = args.bands
+    buf = _read_trimmed(args.wav, bands)
+    tensor = mdct_forward_fast(buf, bands)
+    partition = psycho.bark_partition(buf.sample_rate_hz, bands)
+    noisy, mean_power, ratio = _add_noise_and_report(tensor, partition, args)
+    out = mdct_inverse(noisy)
+    audio_io.write_wav(out, args.out_wav)
 
     say(f"wrote {args.out_wav} (noise scale c = {args.noise})")
     print("band     mid_hz   mean_noise_power   noise/threshold ratio")

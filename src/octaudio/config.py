@@ -133,10 +133,12 @@ def load_config(path):
     """Parse an experiment file into an AppConfig; ConfigError on problems."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -159,6 +161,13 @@ def load_config(path):
         train_cfg = TrainConfig(**train_kwargs)
     except TypeError as exc:
         raise ConfigError(f"[train]: {exc}") from exc
+    outside = [b for b in train_cfg.freeze_blocks
+               if not 1 <= b <= model_cfg.num_blocks]
+    if outside:
+        raise ConfigError(
+            f"[train] freeze_blocks {outside} not among the model's blocks "
+            f"1..{model_cfg.num_blocks}"
+        )
 
     return AppConfig(
         sample_rate_hz=audio.get("sample_rate_hz", 22016),

@@ -11,6 +11,7 @@ reference used by tests) and an O(N log N) path that folds each frame into a
 type-IV DCT.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -72,19 +73,16 @@ def vorbis_window(band_count):
     return np.sin(0.5 * np.pi * inner * inner)
 
 
-_COS_CACHE = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _cos_matrix(band_count):
-    """Cosine kernel cos[pi/N (n + 1/2 + N/2)(k + 1/2)], shape (2N, N)."""
-    mat = _COS_CACHE.get(band_count)
-    if mat is None:
-        n = np.arange(2 * band_count)[:, np.newaxis]
-        k = np.arange(band_count)[np.newaxis, :]
-        mat = np.cos(
-            np.pi / band_count * (n + 0.5 + band_count / 2.0) * (k + 0.5)
-        )
-        _COS_CACHE[band_count] = mat
+    """Cosine kernel cos[pi/N (n + 1/2 + N/2)(k + 1/2)], shape (2N, N).
+
+    Cached and shared by every caller, so it is returned read-only.
+    """
+    n = np.arange(2 * band_count)[:, np.newaxis]
+    k = np.arange(band_count)[np.newaxis, :]
+    mat = np.cos(np.pi / band_count * (n + 0.5 + band_count / 2.0) * (k + 0.5))
+    mat.flags.writeable = False
     return mat
 
 

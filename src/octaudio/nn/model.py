@@ -60,6 +60,11 @@ class ModelConfig:
     output_channels: int = 2
 
     def __post_init__(self):
+        sizes = (self.latent_dim, self.num_blocks, self.seed_blocks,
+                 self.seed_bands, self.output_channels)
+        if not all(isinstance(v, (int, np.integer)) for v in sizes):
+            raise ConfigError("latent_dim, num_blocks, seed shape and "
+                              "output_channels must be integers")
         if self.channels is None:
             self.channels = default_channels(self.num_blocks)
         self.channels = tuple(int(c) for c in self.channels)
@@ -326,7 +331,11 @@ def load_checkpoint(path):
         data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
         if not np.all(np.isfinite(data)):
             raise ParseError(f"{path}: tensor {name} holds non-finite values")
-        params[name] = ad.parameter(data.reshape(shape))
+        try:
+            data = data.reshape(shape)
+        except ValueError as exc:      # more axes than numpy supports
+            raise ParseError(f"{path}: tensor {name}: {exc}") from exc
+        params[name] = ad.parameter(data)
     if pos != len(blob):
         raise ParseError(f"{path}: {len(blob) - pos} trailing bytes after tensors")
     for name, shape in generator_param_shapes(cfg).items():

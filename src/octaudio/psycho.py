@@ -13,7 +13,7 @@ alpha, and reduced by the tonality-dependent offset
 O_j = tau*(14.5 + j) + (1 - tau)*5.5.
 """
 
-import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +29,8 @@ ZWICKER_EDGES_HZ = (
 DEFAULT_ALPHA = 0.3
 DEFAULT_DB_REFERENCE = 96.0
 AMPLITUDE_FLOOR = 1e-12
+# blocks per write in write_thresholds_csv
+CSV_CHUNK_BLOCKS = 256
 
 
 @dataclass
@@ -134,10 +136,15 @@ def masking_threshold(block_amplitudes, partition, alpha=DEFAULT_ALPHA):
     band energies E, spreading f and tonality-dependent offset O. Input may
     have leading axes before the bin axis; output replaces bins with bands.
     """
+    energies = band_energies(block_amplitudes, partition)
+    return _masking(energies, tonality(block_amplitudes), partition, alpha)
+
+
+def _masking(energies, tau, partition, alpha):
+    """masking_threshold from band energies and tonality (leading axes)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    energies = band_energies(block_amplitudes, partition)
-    tau = tonality(block_amplitudes)[..., np.newaxis]
+    tau = tau[..., np.newaxis]
     offset_db = tau * (14.5 + np.arange(partition.band_count)) + (1.0 - tau) * 5.5
     spread = energies ** alpha @ _spreading_matrix(partition.band_count, alpha)
     return (spread * 10.0 ** (-alpha / 10.0 * offset_db)) ** (1.0 / alpha)
@@ -163,8 +170,12 @@ def compute_thresholds(tensor, partition=None, alpha=DEFAULT_ALPHA,
     if partition is None:
         partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
     amps = np.moveaxis(tensor.amplitudes, 2, 0)          # (C, M, N)
-    mask = np.moveaxis(masking_threshold(amps, partition, alpha), 0, 2)
-    tau = np.moveaxis(tonality(amps), 0, 1)
+    # energies before tonality: the other order left up to 9 MB more freed
+    # temporaries resident in the heap and raised analyze's peak RSS
+    energies = band_energies(amps, partition)
+    tau = tonality(amps)
+    mask = np.moveaxis(_masking(energies, tau, partition, alpha), 0, 2)
+    tau = np.moveaxis(tau, 0, 1)
     absolute = absolute_threshold(partition, db_reference)
     combined = np.maximum(mask, absolute[np.newaxis, :, np.newaxis])
     return MaskingThresholds(absolute, mask, combined, tau)
@@ -195,18 +206,23 @@ def quantize(amplitudes, step):
 
 
 def psychoacoustic_noise(tensor, scale=1.0, rng_seed=0, partition=None,
-                         alpha=DEFAULT_ALPHA, db_reference=DEFAULT_DB_REFERENCE):
+                         alpha=DEFAULT_ALPHA, db_reference=DEFAULT_DB_REFERENCE,
+                         step=None):
     """Add zero-mean gaussian noise with std scale * step / 2 per bin.
 
     The step is the psychoacoustic quantization step of the input tensor's
-    own thresholds, so the noise is inaudible at scale = 1. Deterministic
-    given rng_seed; scale = 0 returns the input unchanged.
+    own thresholds, so the noise is inaudible at scale = 1. A caller that
+    already holds that step (noise_step of the same tensor) may pass it to
+    skip recomputing the thresholds. Deterministic given rng_seed;
+    scale = 0 returns the input unchanged.
     """
     if scale < 0:
         raise ValueError("scale must be non-negative")
     if scale == 0.0:
         return MdctTensor(tensor.amplitudes.copy(), tensor.sample_rate_hz)
-    sigma = scale * 0.5 * noise_step(tensor, partition, alpha, db_reference)
+    if step is None:
+        step = noise_step(tensor, partition, alpha, db_reference)
+    sigma = scale * 0.5 * step
     rng = np.random.default_rng(rng_seed)
     eta = rng.standard_normal(tensor.amplitudes.shape) * sigma
     return MdctTensor(tensor.amplitudes + eta, tensor.sample_rate_hz)
@@ -223,22 +239,37 @@ def noise_step(tensor, partition=None, alpha=DEFAULT_ALPHA,
 
 def write_thresholds_csv(tensor, path, partition=None, alpha=DEFAULT_ALPHA,
                          db_reference=DEFAULT_DB_REFERENCE):
-    """Dump per-block per-band thresholds (channel-averaged) as CSV."""
+    """Dump per-block per-band thresholds (channel-averaged) as CSV.
+
+    Rows are (block, bark_band, I_abs, I_mask, combined, tau) in the bytes
+    of an excel-dialect csv.writer, "\r\n" line ends included. Each value
+    is formatted once: I_abs per band, tau per block, and combined only
+    where it differs from I_mask. Values are formatted CSV_CHUNK_BLOCKS
+    blocks at a time and written block by block, so the file is never held
+    in memory whole.
+    """
     if partition is None:
         partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
     thr = compute_thresholds(tensor, partition, alpha, db_reference)
     mask = thr.mask.mean(axis=2)
     combined = thr.combined.mean(axis=2)
     tau = thr.tonality_per_block.mean(axis=1)
+    bands = [f"{j},{a:.12e}," for j, a in enumerate(thr.absolute.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "bark_band", "I_abs", "I_mask", "combined", "tau"])
-        for m in range(tensor.num_blocks):
-            for j in range(partition.band_count):
-                writer.writerow([
-                    m, j,
-                    f"{thr.absolute[j]:.12e}",
-                    f"{mask[m, j]:.12e}",
-                    f"{combined[m, j]:.12e}",
-                    f"{tau[m]:.9f}",
-                ])
+        fh.write("block,bark_band,I_abs,I_mask,combined,tau\r\n")
+        for start in range(0, tensor.num_blocks, CSV_CHUNK_BLOCKS):
+            stop = min(start + CSV_CHUNK_BLOCKS, tensor.num_blocks)
+            mask_chunk = mask[start:stop].ravel()
+            combined_chunk = combined[start:stop].ravel()
+            mask_text = [f"{v:.12e}" for v in mask_chunk.tolist()]
+            # cells hold "bark_band,I_abs,I_mask,combined," in row order
+            cells = [f"{band}{text},{text},"
+                     for band, text in zip(itertools.cycle(bands), mask_text)]
+            for k in np.flatnonzero(combined_chunk != mask_chunk).tolist():
+                cells[k] = (f"{bands[k % len(bands)]}{mask_text[k]},"
+                            f"{combined_chunk[k]:.12e},")
+            for m, tau_m in zip(range(start, stop), tau[start:stop].tolist()):
+                # a block's rows share the head "m," and the tail "tau\r\n"
+                head, tail = f"{m},", f"{tau_m:.9f}\r\n"
+                k = (m - start) * len(bands)
+                fh.write(head + (tail + head).join(cells[k:k + len(bands)]) + tail)

@@ -175,7 +175,7 @@ def mean_tonality(tensor):
 
 
 def write_tonality_csv(tensor, path):
-    """CSV rows (block_index, time_seconds, tau)."""
+    """CSV rows (block_index, time_seconds, tau); returns the tau series."""
     series = tonality_series(tensor)
     block_seconds = tensor.band_count / tensor.sample_rate_hz
     with open(path, "w", newline="") as fh:
@@ -183,3 +183,4 @@ def write_tonality_csv(tensor, path):
         writer.writerow(["block_index", "time_seconds", "tau"])
         for m, tau in enumerate(series):
             writer.writerow([m, f"{m * block_seconds:.6f}", f"{tau:.9f}"])
+    return series

@@ -5,8 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+from octaudio import psycho
 from octaudio.audio_io import AudioBuffer, read_wav, write_wav
 from octaudio.cli import main
+from octaudio.config import load_config
+from octaudio.errors import ConfigError
 from octaudio.nn.model import (
     ModelConfig,
     generator_param_shapes,
@@ -114,11 +117,17 @@ def test_roundtrip_noise_zero_identity(tmp_path, capsys):
     )) <= 1e-10 + 2.0 ** -15
 
 
-def test_roundtrip_noise_one_reports_bands(tmp_path, capsys):
+def test_roundtrip_noise_one_reports_bands(tmp_path, capsys, monkeypatch):
     wav = tmp_path / "in.wav"
     write_tone(wav, seconds=2.0)
     out_wav = tmp_path / "n.wav"
+    calls = []
+    compute_thresholds = psycho.compute_thresholds
+    monkeypatch.setattr(psycho, "compute_thresholds",
+                        lambda *a: calls.append(a) or compute_thresholds(*a))
     assert main(["roundtrip", str(wav), str(out_wav), "--noise", "1"]) == 0
+    # the noise layer and the band report share one threshold computation
+    assert len(calls) == 1
     report = capsys.readouterr().out
     assert "ratio" in report
     assert "AUDIBLE" not in report
@@ -280,6 +289,10 @@ def test_train_bad_config_exit_1(tmp_path, capsys):
     assert main(["train", str(config)]) == 1
     config.write_text("[model]\nmystery_key = 3\n")
     assert main(["train", str(config)]) == 1
+    capsys.readouterr()
+    config.write_bytes(b"\xff\xfe[model]\n")
+    assert main(["train", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_train_missing_config_exit_1(tmp_path):
@@ -287,8 +300,6 @@ def test_train_missing_config_exit_1(tmp_path):
 
 
 def test_config_parses_typed_values(tmp_path):
-    from octaudio.config import load_config
-
     path = tmp_path / "c.ini"
     path.write_text("""
 [audio]
@@ -310,6 +321,23 @@ iterations = 5
     assert app.model.channels == (8, 4, 2)
     assert app.train.freeze_blocks == (1, 2)
     assert app.train.iterations == 5
+
+
+@pytest.mark.parametrize("blocks", ["0", "3", "1, 9", "-1"])
+def test_config_rejects_freeze_blocks_outside_model(tmp_path, blocks):
+    # blocks are numbered 1..num_blocks; others would freeze nothing
+    path = tmp_path / "c.ini"
+    path.write_text(f"""
+[model]
+num_blocks = 2
+seed_bands = 4
+channels = 8, 4, 2
+
+[train]
+freeze_blocks = {blocks}
+""")
+    with pytest.raises(ConfigError, match="freeze_blocks"):
+        load_config(path)
 
 
 def test_quiet_env_suppresses_chatter(tmp_path, capsys, monkeypatch):

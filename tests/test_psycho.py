@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,18 +7,22 @@ from hypothesis import strategies as st
 
 from octaudio.audio_io import AudioBuffer
 from octaudio.mdct import MdctTensor, mdct_forward_fast, mdct_forward_naive
+from octaudio import psycho
 from octaudio.psycho import (
+    CSV_CHUNK_BLOCKS,
     absolute_threshold,
     absolute_threshold_db,
     bark_partition,
     band_energies,
     compute_thresholds,
     masking_threshold,
+    noise_step,
     psychoacoustic_noise,
     quantization_step,
     quantize,
     spreading_gain_db,
     tonality,
+    write_thresholds_csv,
 )
 
 FS, N = 22016, 128
@@ -185,6 +191,59 @@ def test_combined_is_elementwise_max(partition):
     assert np.all(thr.tonality_per_block <= 1)
 
 
+def test_compute_thresholds_computes_tonality_once(monkeypatch):
+    calls = []
+
+    def counted(amplitudes):
+        calls.append(amplitudes.shape)
+        return tonality(amplitudes)
+
+    monkeypatch.setattr(psycho, "tonality", counted)
+    thr = compute_thresholds(harmonic_tone_tensor())
+    assert calls == [(1, 8, N)]
+    assert thr.tonality_per_block.shape == (8, 1)
+
+
+def csv_writer_thresholds(tensor, path):
+    """write_thresholds_csv as a per-row csv.writer loop: the byte oracle."""
+    partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
+    thr = compute_thresholds(tensor, partition)
+    mask = thr.mask.mean(axis=2)
+    combined = thr.combined.mean(axis=2)
+    tau = thr.tonality_per_block.mean(axis=1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["block", "bark_band", "I_abs", "I_mask", "combined", "tau"])
+        for m in range(tensor.num_blocks):
+            for j in range(partition.band_count):
+                writer.writerow([
+                    m, j,
+                    f"{thr.absolute[j]:.12e}",
+                    f"{mask[m, j]:.12e}",
+                    f"{combined[m, j]:.12e}",
+                    f"{tau[m]:.9f}",
+                ])
+
+
+@pytest.mark.parametrize("blocks, channels", [
+    (3, 1), (CSV_CHUNK_BLOCKS, 2), (2 * CSV_CHUNK_BLOCKS + 5, 2),
+])
+def test_thresholds_csv_matches_csv_writer_bytes(tmp_path, blocks, channels):
+    # levels from near silence to full scale, so that in some cells the
+    # absolute threshold wins and combined differs from I_mask
+    rng = np.random.default_rng(blocks)
+    level = 10.0 ** rng.uniform(-7.0, 0.0, (blocks, 1, channels))
+    tensor = MdctTensor(rng.standard_normal((blocks, N, channels)) * level, FS)
+    write_thresholds_csv(tensor, tmp_path / "fast.csv")
+    csv_writer_thresholds(tensor, tmp_path / "oracle.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "oracle.csv").read_bytes()
+    rows = list(csv.DictReader(fast.decode().splitlines()))
+    assert len(rows) == blocks * bark_partition(FS, N).band_count
+    assert any(r["combined"] != r["I_mask"] for r in rows)
+    assert any(r["combined"] == r["I_mask"] for r in rows)
+
+
 def test_quantize_zero_is_zero():
     assert quantize(np.zeros(4), np.full(4, 0.5)).tolist() == [0, 0, 0, 0]
 
@@ -233,7 +292,10 @@ def test_noise_deterministic_per_seed():
     a = psychoacoustic_noise(tensor, scale=1.0, rng_seed=7)
     b = psychoacoustic_noise(tensor, scale=1.0, rng_seed=7)
     c = psychoacoustic_noise(tensor, scale=1.0, rng_seed=8)
+    d = psychoacoustic_noise(tensor, scale=1.0, rng_seed=7,
+                             step=noise_step(tensor))
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+    np.testing.assert_array_equal(a.amplitudes, d.amplitudes)
     assert np.any(a.amplitudes != c.amplitudes)
 
 
