@@ -121,8 +121,12 @@ def _convert(section, key, kind, raw):
 def _section(parser, name, known):
     if not parser.has_section(name):
         return {}
+    try:
+        items = parser.items(name)
+    except configparser.Error as exc:     # e.g. a stray '%' (interpolation)
+        raise ConfigError(f"[{name}]: {exc}") from exc
     values = {}
-    for key, raw in parser.items(name):
+    for key, raw in items:
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
         values[key] = _convert(name, key, known[key], raw)

@@ -208,4 +208,6 @@ def load_tensor(path):
     if len(blob) != expected:
         raise ParseError(f"{path}: size {len(blob)} != expected {expected}")
     data = np.frombuffer(blob, dtype="<f8", offset=24).reshape(m, n, c)
+    if not np.all(np.isfinite(data)):
+        raise ParseError(f"{path}: non-finite amplitudes")
     return MdctTensor(data.copy(), rate)

@@ -65,9 +65,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -400,6 +397,9 @@ def grad(output, inputs, output_grad=None, create_graph=False):
 
     output_grad seeds the backward pass (ones by default). When create_graph
     is true, returned adjoints stay differentiable.
+
+    Only nodes on a path to a wanted input receive adjoints: no vjp runs
+    for an edge whose parent reaches none of `inputs`.
     """
     if output_grad is None:
         seed = Tensor(np.ones(output.shape))
@@ -408,17 +408,25 @@ def grad(output, inputs, output_grad=None, create_graph=False):
 
     wanted = {id(t) for t in inputs}
     results = {}
+    order = _topo_order(output)
+    # parents come before their children in `order`
+    on_path = set(wanted)
+    for node in order:
+        for parent in node.parents:
+            if id(parent) in on_path:
+                on_path.add(id(node))
+                break
 
     def run():
         adjoints = {id(output): seed}
-        for node in reversed(_topo_order(output)):
+        for node in reversed(order):
             g = adjoints.pop(id(node), None)
             if g is None:
                 continue
             if id(node) in wanted:
                 results[id(node)] = g
             for parent, vjp in zip(node.parents, node.vjps):
-                if not parent.requires_grad:
+                if id(parent) not in on_path:
                     continue
                 contribution = vjp(g)
                 held = adjoints.get(id(parent))

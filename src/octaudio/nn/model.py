@@ -32,6 +32,7 @@ from .layers import (
 CHECKPOINT_MAGIC = b"MP3N"
 CHECKPOINT_VERSION = 1
 CHANNEL_CAP = 512
+GRID_CAP = 2 ** 31         # output entries: blocks x bands x channels
 
 KERNEL_TIME = (8, 3)       # stride (4, 1)
 KERNEL_OCTAVE = (1, 4)     # stride (1, 2)
@@ -65,13 +66,22 @@ class ModelConfig:
         if not all(isinstance(v, (int, np.integer)) for v in sizes):
             raise ConfigError("latent_dim, num_blocks, seed shape and "
                               "output_channels must be integers")
-        if self.channels is None:
-            self.channels = default_channels(self.num_blocks)
-        self.channels = tuple(int(c) for c in self.channels)
         if self.latent_dim < 1 or self.seed_blocks < 1 or self.seed_bands < 1:
             raise ConfigError("latent_dim and seed shape must be positive")
         if self.num_blocks < 0:
             raise ConfigError("num_blocks must be non-negative")
+        if self.output_channels < 1:
+            raise ConfigError("output_channels must be positive")
+        # each block multiplies the grid by 8, so past 10 blocks (8**11 >
+        # GRID_CAP) it is too large whatever the seed: reject before any power
+        if self.num_blocks > 10 or math.prod(self.output_shape) > GRID_CAP:
+            raise ConfigError(
+                f"a {self.num_blocks}-block model's output grid "
+                f"(blocks x bands x channels) exceeds {GRID_CAP} entries"
+            )
+        if self.channels is None:
+            self.channels = default_channels(self.num_blocks)
+        self.channels = tuple(int(c) for c in self.channels)
         if self.num_blocks > 0 and self.seed_bands % 2:
             raise ConfigError("seed_bands must be even so the top octave splits")
         if len(self.channels) != self.num_blocks + 1:
@@ -82,8 +92,6 @@ class ModelConfig:
             raise ConfigError("channel counts must be positive")
         if any(c > CHANNEL_CAP for c in self.channels):
             raise ConfigError(f"channel counts are capped at {CHANNEL_CAP}")
-        if self.output_channels < 1:
-            raise ConfigError("output_channels must be positive")
 
     def block_shape(self, depth):
         """(blocks, bands) after `depth` generator blocks."""

@@ -7,9 +7,10 @@ the generator. The critic loss is
     + drift_epsilon * E[D(real)^2]
 
 with xhat drawn uniformly on the chord between (noisy) real and fake
-samples. Real and fake batches both receive gaussian noise scaled by the
-psychoacoustic quantization step of their own spectra before entering the
-critic; the noise std is treated as constant by backpropagation.
+samples, and the generator loss is -E[D(fake)]. Real and fake batches both
+receive gaussian noise scaled by the psychoacoustic quantization step of
+their own spectra before entering the critic; the noise std is treated as
+constant by backpropagation.
 
 Everything is driven by a single seeded generator, so a rerun with the same
 seed reproduces losses, CSV and checkpoints bit for bit.
@@ -111,8 +112,9 @@ def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng,
                    noise_fn=None):
     """Critic and generator losses plus scalar diagnostics.
 
-    real is a (B, M, N, C) array; fake is a Tensor (keep it attached to the
-    generator for generator updates, detach it for critic updates).
+    real is a (B, M, N, C) array; fake is a Tensor or array. train() uses
+    only loss_d, on a fake made under no_grad; generator updates call
+    generator_loss, which computes the generator term alone.
     noise_fn(batch_array, rng) -> additive noise applied to both sides.
     """
     fake = fake if isinstance(fake, ad.Tensor) else ad.constant(fake)
@@ -149,6 +151,24 @@ def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng,
         "wasserstein": wasserstein,
         "penalty": float(penalty.data),
     }
+
+
+def generator_loss(fake, discriminator_fn, rng, noise_fn=None):
+    """-mean D(fake + noise(fake)): the generator loss of wgan_gp_losses.
+
+    fake is a Tensor attached to the generator. Only the term the generator
+    update uses is computed: no D(real), no D(xhat) and no penalty gradient.
+    rng advances exactly as in wgan_gp_losses (the real-batch noise draw,
+    the fake noise, then the interpolation weights), so a seeded run that
+    switches to this function keeps its trajectory bit for bit. noise_fn
+    must draw one standard_normal(batch.shape), as train()'s does.
+    """
+    if noise_fn is not None:
+        rng.standard_normal(fake.shape)     # stands in for the real noise
+        fake = ad.add(fake, ad.constant(noise_fn(fake.data, rng)))
+    loss_g = ad.neg(ad.mean(discriminator_fn(fake)))
+    rng.uniform(size=(fake.shape[0], 1, 1, 1))  # stands in for xhat's u
+    return loss_g
 
 
 @dataclass
@@ -225,30 +245,29 @@ def train(dataset, model_cfg, train_cfg, out_dir, checkpoint_every=0,
             picks = rng.integers(0, len(data), size=train_cfg.batch_size)
             real = data[picks]
             z = rng.standard_normal((train_cfg.batch_size, model_cfg.latent_dim))
-            fake = generator(ad.constant(z), g_params, model_cfg)
+            with ad.no_grad():
+                fake = generator(ad.constant(z), g_params, model_cfg)
 
             loss_d, _, stats = wgan_gp_losses(
-                real, fake.detach(), d_fn, train_cfg.gp_lambda,
+                real, fake, d_fn, train_cfg.gp_lambda,
                 train_cfg.drift_epsilon, rng, noise_fn,
             )
             d_grads = ad.grad(loss_d, [d_params[k] for k in d_names])
             adam_d.step(d_params, dict(zip(d_names, (g.data for g in d_grads))))
 
-            loss_g_value = -float(np.mean(
-                discriminator(fake.detach(), d_params, model_cfg).data
-            ))
             if it % train_cfg.n_critic == 0:
                 z2 = rng.standard_normal(
                     (train_cfg.batch_size, model_cfg.latent_dim)
                 )
                 fake_g = generator(ad.constant(z2), g_params, model_cfg)
-                _, loss_g, _ = wgan_gp_losses(
-                    real, fake_g, d_fn, train_cfg.gp_lambda,
-                    train_cfg.drift_epsilon, rng, noise_fn,
-                )
+                loss_g = generator_loss(fake_g, d_fn, rng, noise_fn)
                 g_grads = ad.grad(loss_g, [g_params[k] for k in g_names])
                 adam_g.step(g_params, dict(zip(g_names, (g.data for g in g_grads))))
                 loss_g_value = float(loss_g.data)
+            else:
+                # critic-only iteration: log -mean D(fake) for the updated critic
+                with ad.no_grad():
+                    loss_g_value = -float(np.mean(d_fn(fake).data))
 
             gen_tau = float(np.mean(tonality(np.moveaxis(fake.data, 3, 1))))
             if not (np.isfinite(loss_d.data) and np.isfinite(loss_g_value)):

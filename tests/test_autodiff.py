@@ -314,6 +314,45 @@ def test_grad_of_unreachable_input_is_zero():
     np.testing.assert_array_equal(gb.data, np.zeros(3))
 
 
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_grad_of_a_subset_is_bitwise_the_full_grad(create_graph):
+    rng = np.random.default_rng(12)
+    a, b = leaf(rng, (3, 4)), leaf(rng, (4, 5))
+    x = ad.constant(rng.standard_normal((2, 3)))
+
+    def out():
+        h = leaky_relu(ad.matmul(ad.matmul(x, a), b))
+        return ad.add(ad.sum_along(ad.power(h, 2.0)), ad.sum_along(ad.mul(a, a)))
+
+    (alone,) = ad.grad(out(), [a], create_graph=create_graph)
+    both = ad.grad(out(), [a, b], create_graph=create_graph)
+    assert alone.data.tobytes() == both[0].data.tobytes()
+    assert alone.requires_grad == both[0].requires_grad == create_graph
+
+
+def test_grad_skips_edges_off_the_path_to_the_inputs():
+    a = ad.parameter(np.array([1.5, -2.0]))
+    b = ad.parameter(np.array([0.5, 3.0]))
+    calls = {"a": 0, "b": 0}
+
+    def vjp(name, other):
+        def back(g):
+            calls[name] += 1
+            return ad.mul(g, other)
+        return back
+
+    def out():
+        prod = ad.Tensor(a.data * b.data, (a, b), (vjp("a", b), vjp("b", a)))
+        return ad.sum_along(prod)
+
+    for create_graph in (False, True):
+        (ga,) = ad.grad(out(), [a], create_graph=create_graph)
+        np.testing.assert_array_equal(ga.data, b.data)
+    assert calls == {"a": 2, "b": 0}
+    ad.grad(out(), [a, b])
+    assert calls == {"a": 3, "b": 1}
+
+
 def test_no_grad_mode_drops_graph():
     a = ad.parameter(np.ones(3))
     with ad.no_grad():

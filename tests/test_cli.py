@@ -196,6 +196,11 @@ def test_shapes_bad_seed_exit_1(capsys):
     assert main(["shapes", "--seed", "banana"]) == 1
 
 
+def test_shapes_too_many_blocks_exit_1(capsys):
+    assert main(["shapes", "--blocks", "40"]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def write_toy_config(path, out_channels=1, iterations=4):
     path.write_text(f"""
 [audio]
@@ -273,7 +278,8 @@ def test_sample_checkpoint_not_matching_a_model_exit_2(tmp_path, capsys):
     blob = write_toy_checkpoint(checkpoint)
     (meta_len,) = struct.unpack_from("<I", blob, 8)
     for meta in (b"[1, 2]", b'{"model": {"latent_dim": 6}}',
-                 b'{"model": {"channels": "ab"}}', b"\xff"):
+                 b'{"model": {"channels": "ab"}}', b"\xff",
+                 b'{"model": {"num_blocks": 1000000000}}'):
         checkpoint.write_bytes(blob[:8] + struct.pack("<I", len(meta)) + meta
                                + blob[12 + meta_len:])
         assert main(["sample", str(checkpoint), str(tmp_path / "s")]) == 2

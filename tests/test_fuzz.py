@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from octaudio.audio_io import AudioBuffer, read_wav, write_wav
 from octaudio.config import load_config
-from octaudio.errors import OctaudioError, ParseError
+from octaudio.errors import ConfigError, OctaudioError, ParseError
 from octaudio.mdct import MdctTensor, load_tensor, save_tensor
 from octaudio.nn import autodiff as ad
 from octaudio.nn.model import (
@@ -137,3 +137,13 @@ def test_checkpoint_float_model_size_is_parse_error(tmp_path):
     save_checkpoint(path, params, cfg)
     with pytest.raises(ParseError, match="integers"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", ["% 4, 3", "%(missing)s", "%(channels)s"])
+def test_config_bad_interpolation_is_config_error(tmp_path, value):
+    # found by the fuzzer: "channels =% 4, 3" escaped from configparser as
+    # InterpolationSyntaxError
+    path = tmp_path / "c.ini"
+    path.write_text(f"[model]\nchannels = {value}\n")
+    with pytest.raises(ConfigError, match=r"\[model\]"):
+        load_config(path)

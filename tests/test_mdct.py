@@ -167,3 +167,13 @@ def test_tensor_serialization_rejects_garbage(tmp_path):
     path.write_bytes(b"nope")
     with pytest.raises(ParseError):
         load_tensor(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tensor_serialization_rejects_non_finite(tmp_path, bad):
+    amps = np.zeros((6, 16, 2))
+    amps[3, 5, 1] = bad
+    path = tmp_path / "bad.mdct"
+    save_tensor(MdctTensor(amps, 22016), path)
+    with pytest.raises(ParseError, match="non-finite"):
+        load_tensor(path)

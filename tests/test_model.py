@@ -55,6 +55,25 @@ def test_channel_cap_enforced():
     assert max(default_channels(8)) == 512
 
 
+def test_output_grid_bounded_before_schedule_is_built(monkeypatch):
+    import octaudio.nn.model as model
+
+    def no_schedule(num_blocks, *args, **kwargs):
+        raise AssertionError(f"schedule built for {num_blocks} blocks")
+
+    monkeypatch.setattr(model, "default_channels", no_schedule)
+    for blocks in (10 ** 9, 20000, 11):
+        with pytest.raises(ConfigError, match="output grid"):
+            ModelConfig(num_blocks=blocks)
+    with pytest.raises(ConfigError, match="output grid"):
+        ModelConfig(num_blocks=10, seed_blocks=1, seed_bands=2, output_channels=2,
+                    channels=(1,) * 11)
+    # 2**31 entries exactly is still allowed, as is the published model
+    assert ModelConfig(num_blocks=10, seed_blocks=1, seed_bands=2, output_channels=1,
+                       channels=(1,) * 11).output_shape == (4 ** 10, 2 ** 11, 1)
+    assert ModelConfig(channels=default_channels(6)).output_shape == (16384, 128, 2)
+
+
 def test_channel_schedule_length_checked():
     with pytest.raises(ConfigError):
         tiny_cfg(channels=(4, 3))

@@ -9,15 +9,19 @@ from octaudio.nn.model import (
     ModelConfig,
     discriminator,
     discriminator_param_shapes,
+    generator,
+    generator_param_shapes,
     init_params,
 )
 from octaudio.nn.train import (
     Adam,
     TrainConfig,
+    generator_loss,
     quantization_noise_sigma,
     train,
     wgan_gp_losses,
 )
+from octaudio.psycho import bark_partition
 
 
 def sum_critic(x):
@@ -220,6 +224,65 @@ def test_noise_applied_to_both_real_and_fake():
     # a constant offset on both sides cancels in the linear difference
     expected = fake.sum(axis=(1, 2, 3)).mean() - real.sum(axis=(1, 2, 3)).mean()
     assert float(loss_d.data) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("noise", [False, True])
+def test_generator_loss_is_the_generator_term_of_wgan_gp_losses(noise):
+    data, cfg, _ = toy_setup()
+    init_rng = np.random.default_rng(2)
+    g_params = init_params(generator_param_shapes(cfg), init_rng)
+    d_params = init_params(discriminator_param_shapes(cfg), init_rng)
+    real = np.stack([t.amplitudes for t in data[:2]])
+    z = init_rng.standard_normal((2, cfg.latent_dim))
+    partition = bark_partition(2048, 8)
+
+    def noise_fn(batch, noise_rng):
+        sigma = quantization_noise_sigma(batch, 2048, partition, 0.3, 96.0)
+        return noise_rng.standard_normal(batch.shape) * sigma
+
+    def d_fn(x):
+        return discriminator(x, d_params, cfg)
+
+    names = sorted(g_params)
+    results = []
+    for lean in (False, True):
+        rng = np.random.default_rng(7)
+        fake = generator(ad.constant(z), g_params, cfg)
+        if lean:
+            loss_g = generator_loss(fake, d_fn, rng, noise_fn if noise else None)
+        else:
+            _, loss_g, _ = wgan_gp_losses(real, fake, d_fn, 10.0, 0.001, rng,
+                                          noise_fn if noise else None)
+        grads = ad.grad(loss_g, [g_params[k] for k in names])
+        results.append((loss_g.data.tobytes(), [g.data.tobytes() for g in grads],
+                        rng.standard_normal(3).tobytes()))
+    assert results[0] == results[1]
+
+
+def test_train_step_counts(tmp_path, monkeypatch):
+    import octaudio.nn.train as train_module
+
+    counts = {"discriminator": 0, "create_graph": 0, "noise_sigma": 0}
+
+    def counted(key, fn, when=lambda *a, **k: True):
+        def wrapper(*args, **kwargs):
+            counts[key] += bool(when(*args, **kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(train_module, "discriminator",
+                        counted("discriminator", discriminator))
+    monkeypatch.setattr(ad, "grad", counted(
+        "create_graph", ad.grad,
+        lambda *a, create_graph=False, **k: create_graph))
+    monkeypatch.setattr(train_module, "quantization_noise_sigma",
+                        counted("noise_sigma", quantization_noise_sigma))
+    data, cfg, tcfg = toy_setup(iterations=2, noise=1.0)
+    train(data, cfg, tcfg, tmp_path / "run")
+    # critic step: D(real), D(fake), D(xhat) and one penalty gradient, with
+    # noise on both batches; the logging D(fake) on the critic-only
+    # iteration; generator step: D(fake) with noise on the fake batch only
+    assert counts == {"discriminator": 8, "create_graph": 2, "noise_sigma": 5}
 
 
 def test_divergence_error_carries_iteration(tmp_path):
