@@ -15,6 +15,9 @@ from scipy.signal import resample_poly
 from .errors import IoError, ParseError, UnsupportedFormat
 
 INT16_FULL_SCALE = 32768.0
+# highest rate whose 16-bit stereo byte rate (4 bytes per frame) fits the
+# u32 field of a WAV header
+MAX_SAMPLE_RATE_HZ = (2 ** 32 - 1) // 4
 
 # Polyphase anti-alias filter: taps per branch and Kaiser shape parameter.
 RESAMPLE_TAPS_PER_BRANCH = 64

@@ -8,6 +8,7 @@ to stderr).
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -58,6 +59,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _checked(kind, ok, rule):
+    """argparse type: kind(text) that must satisfy ok, else a usage error."""
+    def convert(text):
+        value = kind(text)      # ValueError reads "invalid <kind> value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+    convert.__name__ = kind.__name__
+    return convert
+
+
+_BANDS = _checked(int, lambda v: v >= 8 and not v & (v - 1), "a power of two >= 8")
+_COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
+_NATURAL = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_RATE = _checked(int, lambda v: 1 <= v <= audio_io.MAX_SAMPLE_RATE_HZ,
+                 f"a sample rate in 1..{audio_io.MAX_SAMPLE_RATE_HZ} Hz")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_SCALE = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_BELOW_ZERO = _checked(float, lambda v: -math.inf < v < 0, "a finite number < 0")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+
+
 def _read_trimmed(wav_path, band_count, multiple=1):
     """Read a WAV and trim it to a multiple of band_count * multiple samples."""
     buf = audio_io.read_wav(wav_path)
@@ -102,10 +125,7 @@ def _add_noise_and_report(tensor, partition, args):
     The (M, N, C) intermediates die on return, before the caller's inverse
     transform allocates its own.
     """
-    thresholds = psycho.compute_thresholds(
-        tensor, partition, args.alpha, args.db_reference
-    )
-    step = psycho.quantization_step(thresholds.combined, partition)
+    step = psycho.noise_step(tensor, partition, args.alpha, args.db_reference)
     noisy = psycho.psychoacoustic_noise(
         tensor, scale=args.noise, rng_seed=args.seed, partition=partition,
         alpha=args.alpha, db_reference=args.db_reference, step=step,
@@ -144,6 +164,8 @@ def cmd_roundtrip(args):
 
 def cmd_reduce(args):
     bands = args.bands
+    if bands % 2 ** args.folds:       # before 2**folds sizes anything
+        raise ShapeError(f"{bands} bands do not halve {args.folds} times")
     buf = _read_trimmed(args.wav, bands, multiple=2 ** args.folds)
     tensor = mdct_forward_fast(buf, bands)
     spec = spectral.spectrogram(tensor)
@@ -238,7 +260,7 @@ def cmd_train(args):
 
 def cmd_sample(args):
     params, cfg, iteration, extra = load_checkpoint(args.checkpoint)
-    sample_rate = int(extra.get("sample_rate_hz", args.sample_rate))
+    sample_rate = extra.get("sample_rate_hz", args.sample_rate)
     rng = np.random.default_rng(args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     started = time.time()
@@ -263,12 +285,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--bands", type=int, default=128,
+        p.add_argument("--bands", type=_BANDS, default=128,
                        help="MDCT filter bands (power of two, default 128)")
-        p.add_argument("--alpha", type=float, default=psycho.DEFAULT_ALPHA)
-        p.add_argument("--db-reference", type=float,
+        p.add_argument("--alpha", type=_POSITIVE, default=psycho.DEFAULT_ALPHA)
+        p.add_argument("--db-reference", type=_FINITE,
                        default=psycho.DEFAULT_DB_REFERENCE)
-        p.add_argument("--db-floor", type=float, default=spectral.DEFAULT_DB_FLOOR)
+        p.add_argument("--db-floor", type=_BELOW_ZERO,
+                       default=spectral.DEFAULT_DB_FLOOR)
 
     p = sub.add_parser("analyze", help="spectrograms, tonality and thresholds")
     p.add_argument("wav")
@@ -280,15 +303,15 @@ def build_parser():
                        help="WAV -> MDCT -> psychoacoustic noise -> WAV")
     p.add_argument("wav")
     p.add_argument("out_wav")
-    p.add_argument("--noise", type=float, default=1.0, help="noise scale c")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=_SCALE, default=1.0, help="noise scale c")
+    p.add_argument("--seed", type=_NATURAL, default=0)
     add_common(p)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("reduce", help="octave-folded reduced spectrograms")
     p.add_argument("wav")
     p.add_argument("out_dir")
-    p.add_argument("--folds", type=int, default=2)
+    p.add_argument("--folds", type=_NATURAL, default=2)
     add_common(p)
     p.set_defaults(func=cmd_reduce)
 
@@ -309,9 +332,9 @@ def build_parser():
     p = sub.add_parser("sample", help="draw WAV samples from a checkpoint")
     p.add_argument("checkpoint")
     p.add_argument("out_dir")
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-rate", type=int, default=22016,
+    p.add_argument("--count", type=_COUNT, default=4)
+    p.add_argument("--seed", type=_NATURAL, default=0)
+    p.add_argument("--sample-rate", type=_RATE, default=22016,
                    help="fallback rate if the checkpoint has none")
     p.set_defaults(func=cmd_sample)
     return parser

@@ -4,11 +4,8 @@ Files use `key = value` pairs under [section] headers (INI style):
 
     [audio]
     sample_rate_hz = 22016
-    mdct_bands = 128
-    alpha = 0.3
-    noise_scale = 1.0
-    db_reference = 96.0
-    db_floor = -100.0
+    alpha = 0.3           ; masking exponent of the noise layer
+    db_reference = 96.0   ; dB SPL of a full-scale amplitude
 
     [model]
     latent_dim = 512
@@ -37,8 +34,9 @@ Files use `key = value` pairs under [section] headers (INI style):
     count = 64            ; tones: corpus size
     path = ./audio        ; wavs: directory of .wav files
 
-Unknown keys are rejected so typos fail fast. All randomness flows from
-[train] seed.
+Unknown keys are rejected so typos fail fast. [audio] alpha and
+db_reference are defaults for the [train] noise layer. All randomness flows
+from [train] seed.
 """
 
 import configparser
@@ -50,11 +48,8 @@ from .nn.train import TrainConfig
 
 _AUDIO_KEYS = {
     "sample_rate_hz": int,
-    "mdct_bands": int,
     "alpha": float,
-    "noise_scale": float,
     "db_reference": float,
-    "db_floor": float,
 }
 _MODEL_KEYS = {
     "latent_dim": int,
@@ -88,11 +83,6 @@ _DATA_KEYS = {
 @dataclass
 class AppConfig:
     sample_rate_hz: int = 22016
-    mdct_bands: int = 128
-    alpha: float = 0.3
-    noise_scale: float = 1.0
-    db_reference: float = 96.0
-    db_floor: float = -100.0
     model: ModelConfig = None
     train: TrainConfig = None
     data_source: str = "tones"
@@ -101,8 +91,6 @@ class AppConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.mdct_bands < 8 or self.mdct_bands & (self.mdct_bands - 1):
-            raise ConfigError("mdct_bands must be a power of two >= 8")
         if self.sample_rate_hz <= 0:
             raise ConfigError("sample_rate_hz must be positive")
         if self.data_source not in ("tones", "wavs"):
@@ -175,11 +163,6 @@ def load_config(path):
 
     return AppConfig(
         sample_rate_hz=audio.get("sample_rate_hz", 22016),
-        mdct_bands=audio.get("mdct_bands", 128),
-        alpha=audio.get("alpha", 0.3),
-        noise_scale=audio.get("noise_scale", 1.0),
-        db_reference=audio.get("db_reference", 96.0),
-        db_floor=audio.get("db_floor", -100.0),
         model=model_cfg,
         train=train_cfg,
         data_source=data.get("source", "tones"),

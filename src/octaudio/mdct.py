@@ -8,7 +8,8 @@ invertible with M = len/N output blocks, boundary samples included.
 
 Two forward paths are provided: a direct evaluation of the cosine sum (the
 reference used by tests) and an O(N log N) path that folds each frame into a
-type-IV DCT.
+type-IV DCT. The inverse runs the fast path backwards. Every path transforms
+all channels at once.
 """
 
 import functools
@@ -97,16 +98,6 @@ def _check_window(window, band_count):
     return window
 
 
-def _frames(samples_1d, band_count):
-    """Windowless 2N frames at hop N over the half-block zero-padded signal."""
-    half = band_count // 2
-    padded = np.concatenate(
-        [np.zeros(half), samples_1d, np.zeros(half)]
-    )
-    view = np.lib.stride_tricks.sliding_window_view(padded, 2 * band_count)
-    return view[::band_count]
-
-
 def _validate_forward(buf, band_count):
     if band_count < 8 or band_count & (band_count - 1):
         raise ShapeError("band_count must be a power of two >= 8")
@@ -116,69 +107,77 @@ def _validate_forward(buf, band_count):
         )
 
 
+def _frames(samples, band_count):
+    """Windowless frames (C, M, 2N) at hop N over the half-block zero-padded
+    (T, C) signal: one strided view of one padded array for all channels."""
+    half = band_count // 2
+    padded = np.zeros((samples.shape[1], len(samples) + band_count))
+    padded[:, half:half + len(samples)] = samples.T
+    view = np.lib.stride_tricks.sliding_window_view(padded, 2 * band_count, axis=1)
+    return view[:, ::band_count]
+
+
 def mdct_forward_naive(buf, band_count, window=None):
     """Direct evaluation of the cosine sum of the transform. O(M * N^2)."""
     _validate_forward(buf, band_count)
     window = _check_window(window, band_count)
-    cosmat = _cos_matrix(band_count)
-    num_blocks = len(buf) // band_count
-    out = np.empty((num_blocks, band_count, buf.channels))
-    for c in range(buf.channels):
-        frames = _frames(buf.samples[:, c], band_count) * window
-        out[:, :, c] = frames @ cosmat
-    return MdctTensor(out, buf.sample_rate_hz)
+    out = (_frames(buf.samples, band_count) * window) @ _cos_matrix(band_count)
+    return MdctTensor(np.moveaxis(out, 0, 2), buf.sample_rate_hz)
+
+
+def _fold(frames):
+    """Fold windowed (..., 2N) frames to (..., N): (-c_r - d, a - b_r) for
+    quarters a, b, c, d, where _r reverses a quarter."""
+    half = frames.shape[-1] // 4
+    a, b, c, d = (frames[..., q * half:(q + 1) * half] for q in range(4))
+    folded = np.empty(frames.shape[:-1] + (2 * half,))
+    np.subtract(-c[..., ::-1], d, out=folded[..., :half])
+    np.subtract(a, b[..., ::-1], out=folded[..., half:])
+    return folded
 
 
 def mdct_forward_fast(buf, band_count, window=None):
     """Same transform via frame folding and a type-IV DCT. O(M * N log N)."""
     _validate_forward(buf, band_count)
     window = _check_window(window, band_count)
-    num_blocks = len(buf) // band_count
-    half = band_count // 2
-    out = np.empty((num_blocks, band_count, buf.channels))
-    folded = np.empty((num_blocks, band_count))
-    for c in range(buf.channels):
-        frames = _frames(buf.samples[:, c], band_count) * window
-        a = frames[:, :half]
-        b = frames[:, half:band_count]
-        cc = frames[:, band_count:band_count + half]
-        d = frames[:, band_count + half:]
-        np.subtract(-cc[:, ::-1], d, out=folded[:, :half])
-        np.subtract(a, b[:, ::-1], out=folded[:, half:])
-        # batch-parallel DCT; each 1-D transform is bitwise deterministic
-        out[:, :, c] = 0.5 * scipy.fft.dct(folded, type=4, axis=1, workers=-1)
-    return MdctTensor(out, buf.sample_rate_hz)
+    folded = _fold(_frames(buf.samples, band_count) * window)
+    # batch-parallel DCT; each 1-D transform is bitwise deterministic
+    out = scipy.fft.dct(folded, type=4, axis=-1, workers=-1)
+    out *= 0.5
+    return MdctTensor(np.ascontiguousarray(np.moveaxis(out, 0, 2)),
+                      buf.sample_rate_hz)
 
 
 def mdct_inverse(tensor, window=None):
     """Overlap-add synthesis; exact inverse of the forward transform.
 
-    Interior samples are covered by two windows whose squares sum to one.
-    The first and last N/2 samples are covered once (their aliasing partner
-    lies in the zero padding), so they are rescaled by 1/w^2.
+    DCT-IV is its own inverse up to 2/N, so DCT-IV / N gives back the folded
+    frames. The fold's adjoint (a, b, c, d) = (hi, -hi_r, -lo_r, -lo) is
+    windowed and overlap-added: first halves onto block m, second halves
+    onto block m + 1. The first and last N/2 samples are covered by one
+    window only (their aliasing partner lies in the zero padding), so they
+    are rescaled by 1/w^2.
     """
     band_count = tensor.band_count
     window = _check_window(window, band_count)
     if not np.all(np.isfinite(tensor.amplitudes)):
         raise ValueError("tensor amplitudes must be finite")
-    cosmat = _cos_matrix(band_count)
-    num_blocks = tensor.num_blocks
-    half = band_count // 2
-    total = num_blocks * band_count
-    wsq = window * window
+    num_blocks, half = tensor.num_blocks, band_count // 2
+    folded = scipy.fft.dct(np.moveaxis(tensor.amplitudes, 2, 0), type=4,
+                           axis=-1, workers=-1)
+    folded /= band_count
+    lo, hi = folded[..., :half], folded[..., half:]
+    w = [window[q * half:(q + 1) * half] for q in range(4)]   # per quarter
 
-    out = np.empty((total, tensor.channels))
-    for c in range(tensor.channels):
-        frames = (2.0 / band_count) * (tensor.amplitudes[:, :, c] @ cosmat.T)
-        frames *= window
-        acc = np.zeros(total + band_count)
-        for m in range(num_blocks):
-            acc[m * band_count:(m + 2) * band_count] += frames[m]
-        y = acc[half:half + total]
-        y[:half] /= wsq[half:band_count]
-        y[-half:] /= wsq[band_count:band_count + half]
-        out[:, c] = y
-    return AudioBuffer(out, tensor.sample_rate_hz)
+    acc = np.zeros((tensor.channels, num_blocks + 1, band_count))
+    acc[:, :-1, :half] = hi * w[0]
+    acc[:, :-1, half:] = hi[..., ::-1] * -w[1]
+    acc[:, 1:, :half] -= lo[..., ::-1] * w[2]
+    acc[:, 1:, half:] -= lo * w[3]
+    y = acc.reshape(tensor.channels, -1)[:, half:half + num_blocks * band_count]
+    y[:, :half] /= w[1] * w[1]
+    y[:, -half:] /= w[2] * w[2]
+    return AudioBuffer(y.T, tensor.sample_rate_hz)
 
 
 def save_tensor(tensor, path):

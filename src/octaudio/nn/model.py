@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..audio_io import MAX_SAMPLE_RATE_HZ
 from ..errors import ConfigError, ParseError, ShapeError
 from . import autodiff as ad
 from .layers import (
@@ -66,6 +67,9 @@ class ModelConfig:
         if not all(isinstance(v, (int, np.integer)) for v in sizes):
             raise ConfigError("latent_dim, num_blocks, seed shape and "
                               "output_channels must be integers")
+        # plain ints, so that numpy sizes serialize to checkpoint JSON
+        (self.latent_dim, self.num_blocks, self.seed_blocks, self.seed_bands,
+         self.output_channels) = (int(v) for v in sizes)
         if self.latent_dim < 1 or self.seed_blocks < 1 or self.seed_bands < 1:
             raise ConfigError("latent_dim and seed shape must be positive")
         if self.num_blocks < 0:
@@ -320,6 +324,10 @@ def load_checkpoint(path):
     iteration = meta.get("iteration", 0)
     if not isinstance(extra, dict) or not isinstance(iteration, int):
         raise ParseError(f"{path}: checkpoint iteration or extra is malformed")
+    rate = extra.get("sample_rate_hz", 1)
+    if type(rate) is not int or not 1 <= rate <= MAX_SAMPLE_RATE_HZ:
+        raise ParseError(f"{path}: checkpoint sample_rate_hz {rate!r} is not an "
+                         f"integer in 1..{MAX_SAMPLE_RATE_HZ}")
     try:
         model = dict(meta["model"], channels=tuple(meta["model"]["channels"]))
         cfg = ModelConfig(**model)

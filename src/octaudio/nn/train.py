@@ -26,9 +26,8 @@ from ..errors import ConfigError, DivergenceError, ShapeError
 from ..psycho import (
     DEFAULT_ALPHA,
     DEFAULT_DB_REFERENCE,
-    absolute_threshold,
     bark_partition,
-    masking_threshold,
+    noise_step,
     tonality,
 )
 from . import autodiff as ad
@@ -97,15 +96,8 @@ class Adam:
 
 
 def quantization_noise_sigma(batch, sample_rate_hz, partition, alpha, db_reference):
-    """Per-bin noise std = step/2 from each sample's own thresholds.
-
-    batch: (B, M, N, C) amplitudes; returns the same shape.
-    """
-    amps = np.moveaxis(batch, 3, 1)                     # (B, C, M, N)
-    mask = masking_threshold(amps, partition, alpha)    # (B, C, M, J)
-    combined = np.maximum(mask, absolute_threshold(partition, db_reference))
-    steps = np.sqrt(combined)[..., partition.bin_to_band]
-    return 0.5 * np.moveaxis(steps, 1, 3)
+    """Per-bin noise std = step/2 of each (B, M, N, C) sample's own thresholds."""
+    return 0.5 * noise_step(batch, partition, alpha, db_reference)
 
 
 def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng,

@@ -166,33 +166,36 @@ class MaskingThresholds:
 
 def compute_thresholds(tensor, partition=None, alpha=DEFAULT_ALPHA,
                        db_reference=DEFAULT_DB_REFERENCE):
-    """Absolute, masking and combined thresholds for every block/channel."""
+    """Absolute, masking and combined thresholds for every block/channel.
+
+    tensor is an MdctTensor, or amplitudes (..., M, N, C) with any leading
+    axes (partition is then required), which mask, combined and
+    tonality_per_block keep.
+    """
     if partition is None:
         partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
-    amps = np.moveaxis(tensor.amplitudes, 2, 0)          # (C, M, N)
+    amps = np.moveaxis(getattr(tensor, "amplitudes", tensor), -1, -3)  # (..., C, M, N)
     # energies before tonality: the other order left up to 9 MB more freed
     # temporaries resident in the heap and raised analyze's peak RSS
     energies = band_energies(amps, partition)
     tau = tonality(amps)
-    mask = np.moveaxis(_masking(energies, tau, partition, alpha), 0, 2)
-    tau = np.moveaxis(tau, 0, 1)
+    mask = np.moveaxis(_masking(energies, tau, partition, alpha), -3, -1)
+    tau = np.moveaxis(tau, -2, -1)
     absolute = absolute_threshold(partition, db_reference)
-    combined = np.maximum(mask, absolute[np.newaxis, :, np.newaxis])
+    combined = np.maximum(mask, absolute[:, np.newaxis])
     return MaskingThresholds(absolute, mask, combined, tau)
 
 
 def quantization_step(combined, partition):
     """Per-bin amplitude step: sqrt of the band intensity, broadcast to bins.
 
-    combined may be (J,) or (M, J, C); the band axis is expanded to bins.
+    combined may be (J,) or (..., J, C); the band axis is expanded to bins.
     """
     combined = np.asarray(combined, dtype=np.float64)
     steps = np.sqrt(combined)
     if steps.ndim == 1:
         return steps[partition.bin_to_band]
-    if steps.ndim == 3:
-        return steps[:, partition.bin_to_band, :]
-    raise ValueError("combined must have shape (J,) or (M, J, C)")
+    return steps[..., partition.bin_to_band, :]
 
 
 def quantize(amplitudes, step):
@@ -230,7 +233,12 @@ def psychoacoustic_noise(tensor, scale=1.0, rng_seed=0, partition=None,
 
 def noise_step(tensor, partition=None, alpha=DEFAULT_ALPHA,
                db_reference=DEFAULT_DB_REFERENCE):
-    """Per-bin quantization step (M, N, C) of the tensor's own thresholds."""
+    """Per-bin quantization step of each spectrum's own thresholds.
+
+    tensor is an MdctTensor or amplitudes (..., M, N, C), as for
+    compute_thresholds; the step has the amplitudes' shape. The inaudible
+    noise std is half of it.
+    """
     if partition is None:
         partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
     thresholds = compute_thresholds(tensor, partition, alpha, db_reference)

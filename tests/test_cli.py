@@ -171,6 +171,12 @@ def test_reduce_too_many_folds_exit_3(tmp_path, capsys):
     write_tone(wav, seconds=0.05)   # ~1100 samples: no room for 2^10 blocks
     assert main(["reduce", str(wav), str(tmp_path / "r"), "--folds", "10"]) == 3
     assert capsys.readouterr().err != ""
+    # 2^100000 used to size the read, and its error message hit Python's
+    # limit on int-to-text conversion
+    assert main(["reduce", str(wav), str(tmp_path / "r"), "--folds", "100000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("compute error: ") and err.count("\n") == 1
+    assert "halve" in err
 
 
 def test_shapes_published_95s_model(capsys):
@@ -205,7 +211,6 @@ def write_toy_config(path, out_channels=1, iterations=4):
     path.write_text(f"""
 [audio]
 sample_rate_hz = 2048
-mdct_bands = 8
 
 [model]
 latent_dim = 6
@@ -310,7 +315,6 @@ def test_config_parses_typed_values(tmp_path):
     path.write_text("""
 [audio]
 sample_rate_hz = 4096
-mdct_bands = 32
 
 [model]
 num_blocks = 2
@@ -323,7 +327,6 @@ iterations = 5
 """)
     app = load_config(path)
     assert app.sample_rate_hz == 4096
-    assert app.mdct_bands == 32
     assert app.model.channels == (8, 4, 2)
     assert app.train.freeze_blocks == (1, 2)
     assert app.train.iterations == 5
@@ -352,3 +355,63 @@ def test_quiet_env_suppresses_chatter(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OCTAUDIO_VERBOSE", "0")
     assert main(["analyze", str(wav), str(tmp_path / "o")]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("key", ["mdct_bands = 16", "noise_scale = 1.0",
+                                 "db_floor = -100.0"])
+def test_config_removed_audio_key_exit_1(tmp_path, capsys, key):
+    # keys that nothing read are gone; a file that still sets one fails fast
+    config = tmp_path / "c.ini"
+    write_toy_config(config)
+    config.write_text(config.read_text().replace("[audio]", f"[audio]\n{key}"))
+    assert main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "unknown key" in err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("analyze", "--bands", "0"),
+    ("analyze", "--bands", "-8"),
+    ("analyze", "--bands", "12"),
+    ("analyze", "--alpha", "nan"),
+    ("analyze", "--alpha", "0"),
+    ("analyze", "--db-floor", "0"),
+    ("analyze", "--db-floor", "-inf"),
+    ("analyze", "--db-reference", "nan"),
+    ("roundtrip", "--noise", "-1"),
+    ("roundtrip", "--noise", "nan"),
+    ("roundtrip", "--seed", "-1"),
+    ("reduce", "--folds", "-1"),
+    ("sample", "--count", "-1"),
+    ("sample", "--count", "0"),
+    ("sample", "--seed", "-1"),
+    ("sample", "--sample-rate", "0"),
+    ("sample", "--sample-rate", "99999999999"),
+])
+def test_bad_numeric_argument_is_usage_error(tmp_path, capsys, command, option,
+                                             value):
+    wav = tmp_path / "in.wav"
+    write_tone(wav, seconds=0.1)
+    checkpoint = tmp_path / "checkpoint.bin"
+    write_toy_checkpoint(checkpoint)
+    first = {"analyze": [wav, tmp_path / "o"], "reduce": [wav, tmp_path / "o"],
+             "roundtrip": [wav, tmp_path / "o.wav"],
+             "sample": [checkpoint, tmp_path / "o"]}[command]
+    argv = [command, *map(str, first), f"{option}={value}"]   # "-inf" is no flag
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {option}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "o.wav").exists()
+
+
+@pytest.mark.parametrize("rate", [1e30, [1], "abc", 0, -5])
+def test_sample_checkpoint_bad_sample_rate_exit_2(tmp_path, capsys, rate):
+    checkpoint = tmp_path / "checkpoint.bin"
+    cfg = ModelConfig(latent_dim=6, num_blocks=1, seed_blocks=2, seed_bands=4,
+                      channels=(4, 3), output_channels=1)
+    params = init_params(generator_param_shapes(cfg), np.random.default_rng(0))
+    save_checkpoint(checkpoint, params, cfg, extra={"sample_rate_hz": rate})
+    assert main(["sample", str(checkpoint), str(tmp_path / "s")]) == 2
+    assert_input_error(capsys)
+    assert not (tmp_path / "s").exists()

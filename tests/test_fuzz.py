@@ -28,7 +28,6 @@ from octaudio.nn.model import (
 CONFIG_TEXT = b"""
 [audio]
 sample_rate_hz = 2048
-mdct_bands = 8
 
 [model]
 latent_dim = 6

@@ -130,6 +130,58 @@ def test_stereo_roundtrip():
     assert np.max(np.abs(back.samples - x)) <= 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2), st.sampled_from([8, 64, 256]),
+       st.integers(1, 12))
+def test_forward_of_inverse_is_identity(seed, channels, n, blocks):
+    rng = np.random.default_rng(seed)
+    tensor = MdctTensor(rng.standard_normal((blocks, n, channels)), 22016)
+    back = mdct_forward_fast(mdct_inverse(tensor), n)
+    assert np.max(np.abs(back.amplitudes - tensor.amplitudes)) <= 1e-12
+
+
+def cosine_sum_synthesis(amplitudes, n):
+    """The inverse as a direct cosine sum and a per-block overlap-add loop."""
+    k = np.arange(n)
+    t = np.arange(2 * n)[:, np.newaxis]
+    kernel = np.cos(np.pi / n * (t + 0.5 + n / 2.0) * (k + 0.5))
+    window = vorbis_window(n)
+    blocks = amplitudes.shape[0]
+    acc = np.zeros(((blocks + 1) * n, amplitudes.shape[2]))
+    for m in range(blocks):
+        acc[m * n:(m + 2) * n] += window[:, np.newaxis] * (
+            (2.0 / n) * kernel @ amplitudes[m])
+    y = acc[n // 2:n // 2 + blocks * n]
+    y[:n // 2] /= window[n // 2:n, np.newaxis] ** 2
+    y[-(n // 2):] /= window[n:n + n // 2, np.newaxis] ** 2
+    return y
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_inverse_matches_cosine_sum_synthesis(n):
+    rng = np.random.default_rng(n)
+    amplitudes = rng.standard_normal((7, n, 2))
+    fast = mdct_inverse(MdctTensor(amplitudes, 22016)).samples
+    reference = cosine_sum_synthesis(amplitudes, n)
+    # the cosine sum's own rounding grows with N (about 4e-13 at N = 1024)
+    assert np.max(np.abs(fast - reference)) <= 1e-11 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("n", [8, 128, 1024])
+def test_channels_transform_independently_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    stereo = AudioBuffer(rng.uniform(-1, 1, (5 * n, 2)), 22016)
+    tensor = mdct_forward_fast(stereo, n)
+    back = mdct_inverse(tensor)
+    for c in range(2):
+        mono = AudioBuffer(stereo.samples[:, c], 22016)
+        np.testing.assert_array_equal(
+            tensor.amplitudes[:, :, c], mdct_forward_fast(mono, n).amplitudes[:, :, 0])
+        mono_tensor = MdctTensor(tensor.amplitudes[:, :, c], 22016)
+        np.testing.assert_array_equal(
+            back.samples[:, c], mdct_inverse(mono_tensor).samples[:, 0])
+
+
 def test_length_not_multiple_raises():
     buf = AudioBuffer(np.zeros(100), 22016)
     with pytest.raises(ShapeError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from octaudio.audio_io import MAX_SAMPLE_RATE_HZ
 from octaudio.errors import ConfigError, ParseError, ShapeError
 from octaudio.nn import autodiff as ad
 from octaudio.nn.model import (
@@ -201,6 +202,40 @@ def test_checkpoint_roundtrip(tmp_path):
     assert sorted(loaded) == sorted(params)
     for name in params:
         np.testing.assert_array_equal(loaded[name].data, params[name].data)
+
+
+def test_checkpoint_of_numpy_integer_sizes(tmp_path):
+    # numpy sizes were kept as numpy ints, and json.dumps failed on them
+    cfg = ModelConfig(latent_dim=np.int64(6), num_blocks=np.int64(1),
+                      seed_blocks=np.int32(2), seed_bands=np.int64(4),
+                      channels=(4, 3), output_channels=np.int64(1))
+    params = init_params(generator_param_shapes(cfg), np.random.default_rng(8))
+    save_checkpoint(tmp_path / "ck.bin", params, cfg)
+    _, loaded, _, _ = load_checkpoint(tmp_path / "ck.bin")
+    assert loaded == cfg
+    assert all(type(v) is int for v in (cfg.latent_dim, cfg.num_blocks,
+                                        cfg.seed_blocks, cfg.seed_bands,
+                                        cfg.output_channels))
+
+
+@pytest.mark.parametrize("rate", [1e30, [1], "abc", 0, -5, 2048.0, True,
+                                  MAX_SAMPLE_RATE_HZ + 1])
+def test_checkpoint_bad_sample_rate_is_parse_error(tmp_path, rate):
+    cfg = tiny_cfg()
+    params = init_params(generator_param_shapes(cfg), np.random.default_rng(8))
+    save_checkpoint(tmp_path / "ck.bin", params, cfg,
+                    extra={"sample_rate_hz": rate})
+    with pytest.raises(ParseError, match="sample_rate_hz"):
+        load_checkpoint(tmp_path / "ck.bin")
+
+
+def test_checkpoint_sample_rate_limits_load(tmp_path):
+    cfg = tiny_cfg()
+    params = init_params(generator_param_shapes(cfg), np.random.default_rng(8))
+    for extra in ({}, {"sample_rate_hz": 1},
+                  {"sample_rate_hz": MAX_SAMPLE_RATE_HZ}):
+        save_checkpoint(tmp_path / "ck.bin", params, cfg, extra=extra)
+        assert load_checkpoint(tmp_path / "ck.bin")[3] == extra
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
