@@ -57,10 +57,6 @@ class AudioBuffer:
     def channels(self):
         return self.samples.shape[1]
 
-    @property
-    def duration_seconds(self):
-        return len(self) / self.sample_rate_hz
-
 
 def read_wav(path):
     """Read a RIFF/WAVE file holding 16-bit PCM or 32-bit float samples.

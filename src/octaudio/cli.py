@@ -81,6 +81,14 @@ _BELOW_ZERO = _checked(float, lambda v: -math.inf < v < 0, "a finite number < 0"
 _FINITE = _checked(float, math.isfinite, "a finite number")
 
 
+def _int_list(text):
+    """argparse type: comma-separated integers, e.g. "512,256,128"."""
+    return tuple(int(part) for part in text.split(","))
+
+
+_int_list.__name__ = "integer list"     # argparse: "invalid integer list value"
+
+
 def _read_trimmed(wav_path, band_count, multiple=1):
     """Read a WAV and trim it to a multiple of band_count * multiple samples."""
     buf = audio_io.read_wav(wav_path)
@@ -98,19 +106,19 @@ def cmd_analyze(args):
     buf = _read_trimmed(args.wav, bands)
     tensor = mdct_forward_fast(buf, bands)
     os.makedirs(args.out_dir, exist_ok=True)
-    spec = spectral.spectrogram(tensor)
-    spec.db_floor = args.db_floor
-    spectral.to_db_image(spec, os.path.join(args.out_dir, "spectrogram.pgm"))
+    spectral.to_db_image(spectral.spectrogram(tensor),
+                         os.path.join(args.out_dir, "spectrogram.pgm"),
+                         args.db_floor)
     spectral.signed_db_image(
         tensor, os.path.join(args.out_dir, "signed_amplitudes.pgm"), args.db_floor
     )
-    tau = spectral.write_tonality_csv(
-        tensor, os.path.join(args.out_dir, "tonality.csv")
-    )
-    psycho.write_thresholds_csv(
+    thresholds = psycho.write_thresholds_csv(
         tensor, os.path.join(args.out_dir, "thresholds.csv"),
         alpha=args.alpha, db_reference=args.db_reference,
     )
+    tau = thresholds.tonality_per_block.mean(axis=1)
+    spectral.write_tonality_csv(tau, bands / tensor.sample_rate_hz,
+                                os.path.join(args.out_dir, "tonality.csv"))
     save_tensor(tensor, os.path.join(args.out_dir, "mdct.bin"))
     say(f"analyzed {args.wav}: {tensor.num_blocks} blocks x {bands} bands, "
         f"mean tonality {float(tau.mean()):.3f}")
@@ -185,15 +193,12 @@ def cmd_shapes(args):
         seed_blocks, seed_bands = (int(p) for p in args.seed.lower().split("x"))
     except ValueError:
         raise ConfigError(f"--seed must look like MxN, got {args.seed!r}")
-    channels = None
-    if args.channels:
-        channels = tuple(int(c) for c in args.channels.split(","))
     cfg = ModelConfig(
         latent_dim=args.latent,
         num_blocks=args.blocks,
         seed_blocks=seed_blocks,
         seed_bands=seed_bands,
-        channels=channels,
+        channels=args.channels,
         output_channels=args.output_channels,
     )
     table = shape_table(cfg)
@@ -319,7 +324,7 @@ def build_parser():
     p.add_argument("--blocks", type=int, default=6)
     p.add_argument("--seed", default="4x2", help="seed shape MxN (default 4x2)")
     p.add_argument("--latent", type=int, default=512)
-    p.add_argument("--channels", default=None,
+    p.add_argument("--channels", type=_int_list, default=None,
                    help="comma-separated schedule, deepest first")
     p.add_argument("--output-channels", type=int, default=2)
     p.set_defaults(func=cmd_shapes)

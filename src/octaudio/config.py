@@ -42,6 +42,7 @@ from [train] seed.
 import configparser
 from dataclasses import dataclass
 
+from .audio_io import MAX_SAMPLE_RATE_HZ
 from .errors import ConfigError
 from .nn.model import ModelConfig
 from .nn.train import TrainConfig
@@ -91,8 +92,9 @@ class AppConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ConfigError("sample_rate_hz must be positive")
+        if not 1 <= self.sample_rate_hz <= MAX_SAMPLE_RATE_HZ:
+            raise ConfigError(
+                f"sample_rate_hz must lie in 1..{MAX_SAMPLE_RATE_HZ}")
         if self.data_source not in ("tones", "wavs"):
             raise ConfigError(f"unknown data source {self.data_source!r}")
 
@@ -147,8 +149,9 @@ def load_config(path):
     rename = {"beta1": "adam_beta1", "beta2": "adam_beta2", "seed": "rng_seed"}
     train_kwargs = {rename.get(k, k): v for k, v in train_raw.items()}
     checkpoint_every = train_kwargs.pop("checkpoint_every", 0)
-    train_kwargs.setdefault("alpha", audio.get("alpha", 0.3))
-    train_kwargs.setdefault("db_reference", audio.get("db_reference", 96.0))
+    for key in ("alpha", "db_reference"):    # [audio] keys of the noise layer
+        if key in audio:
+            train_kwargs[key] = audio.pop(key)
     try:
         train_cfg = TrainConfig(**train_kwargs)
     except TypeError as exc:
@@ -161,12 +164,12 @@ def load_config(path):
             f"1..{model_cfg.num_blocks}"
         )
 
+    # keys a file leaves out take AppConfig's defaults; what is left of
+    # [audio] is sample_rate_hz
     return AppConfig(
-        sample_rate_hz=audio.get("sample_rate_hz", 22016),
         model=model_cfg,
         train=train_cfg,
-        data_source=data.get("source", "tones"),
-        data_count=data.get("count", 64),
-        data_path=data.get("path", ""),
         checkpoint_every=checkpoint_every,
+        **audio,
+        **{f"data_{k}": v for k, v in data.items()},
     )

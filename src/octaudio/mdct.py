@@ -54,9 +54,6 @@ class MdctTensor:
     def channels(self):
         return self.amplitudes.shape[2]
 
-    def band_width_hz(self):
-        return self.sample_rate_hz / (2.0 * self.band_count)
-
 
 def band_center_hz(sample_rate_hz, band_count, k=None):
     """Center frequency fs*(k + 1/2)/(2N) of band k (all bands if k is None)."""
@@ -87,17 +84,6 @@ def _cos_matrix(band_count):
     return mat
 
 
-def _check_window(window, band_count):
-    if window is None:
-        return vorbis_window(band_count)
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (2 * band_count,):
-        raise ShapeError(
-            f"window length {window.shape} does not match 2N = {2 * band_count}"
-        )
-    return window
-
-
 def _validate_forward(buf, band_count):
     if band_count < 8 or band_count & (band_count - 1):
         raise ShapeError("band_count must be a power of two >= 8")
@@ -117,11 +103,11 @@ def _frames(samples, band_count):
     return view[:, ::band_count]
 
 
-def mdct_forward_naive(buf, band_count, window=None):
+def mdct_forward_naive(buf, band_count):
     """Direct evaluation of the cosine sum of the transform. O(M * N^2)."""
     _validate_forward(buf, band_count)
-    window = _check_window(window, band_count)
-    out = (_frames(buf.samples, band_count) * window) @ _cos_matrix(band_count)
+    frames = _frames(buf.samples, band_count) * vorbis_window(band_count)
+    out = frames @ _cos_matrix(band_count)
     return MdctTensor(np.moveaxis(out, 0, 2), buf.sample_rate_hz)
 
 
@@ -136,11 +122,10 @@ def _fold(frames):
     return folded
 
 
-def mdct_forward_fast(buf, band_count, window=None):
+def mdct_forward_fast(buf, band_count):
     """Same transform via frame folding and a type-IV DCT. O(M * N log N)."""
     _validate_forward(buf, band_count)
-    window = _check_window(window, band_count)
-    folded = _fold(_frames(buf.samples, band_count) * window)
+    folded = _fold(_frames(buf.samples, band_count) * vorbis_window(band_count))
     # batch-parallel DCT; each 1-D transform is bitwise deterministic
     out = scipy.fft.dct(folded, type=4, axis=-1, workers=-1)
     out *= 0.5
@@ -148,7 +133,7 @@ def mdct_forward_fast(buf, band_count, window=None):
                       buf.sample_rate_hz)
 
 
-def mdct_inverse(tensor, window=None):
+def mdct_inverse(tensor):
     """Overlap-add synthesis; exact inverse of the forward transform.
 
     DCT-IV is its own inverse up to 2/N, so DCT-IV / N gives back the folded
@@ -159,7 +144,6 @@ def mdct_inverse(tensor, window=None):
     are rescaled by 1/w^2.
     """
     band_count = tensor.band_count
-    window = _check_window(window, band_count)
     if not np.all(np.isfinite(tensor.amplitudes)):
         raise ValueError("tensor amplitudes must be finite")
     num_blocks, half = tensor.num_blocks, band_count // 2
@@ -167,7 +151,7 @@ def mdct_inverse(tensor, window=None):
                            axis=-1, workers=-1)
     folded /= band_count
     lo, hi = folded[..., :half], folded[..., half:]
-    w = [window[q * half:(q + 1) * half] for q in range(4)]   # per quarter
+    w = np.split(vorbis_window(band_count), 4)   # per quarter
 
     acc = np.zeros((tensor.channels, num_blocks + 1, band_count))
     acc[:, :-1, :half] = hi * w[0]

@@ -62,9 +62,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -392,20 +389,16 @@ def _topo_order(root):
     return order
 
 
-def grad(output, inputs, output_grad=None, create_graph=False):
+def grad(output, inputs, *, create_graph=False):
     """Adjoints of `output` with respect to each tensor in `inputs`.
 
-    output_grad seeds the backward pass (ones by default). When create_graph
-    is true, returned adjoints stay differentiable.
+    The backward pass is seeded with ones. When create_graph is true,
+    returned adjoints stay differentiable.
 
     Only nodes on a path to a wanted input receive adjoints: no vjp runs
     for an edge whose parent reaches none of `inputs`.
     """
-    if output_grad is None:
-        seed = Tensor(np.ones(output.shape))
-    else:
-        seed = _as_tensor(output_grad)
-
+    seed = Tensor(np.ones(output.shape))
     wanted = {id(t) for t in inputs}
     results = {}
     order = _topo_order(output)

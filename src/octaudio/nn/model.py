@@ -33,16 +33,18 @@ from .layers import (
 CHECKPOINT_MAGIC = b"MP3N"
 CHECKPOINT_VERSION = 1
 CHANNEL_CAP = 512
+BASE_CHANNELS = 64         # shallowest default width
 GRID_CAP = 2 ** 31         # output entries: blocks x bands x channels
 
 KERNEL_TIME = (8, 3)       # stride (4, 1)
 KERNEL_OCTAVE = (1, 4)     # stride (1, 2)
 
 
-def default_channels(num_blocks, base=64, cap=CHANNEL_CAP):
+def default_channels(num_blocks):
     """Deepest-first channel schedule, halving per block, capped."""
     return tuple(
-        min(cap, base * 2 ** (num_blocks - depth)) for depth in range(num_blocks + 1)
+        min(CHANNEL_CAP, BASE_CHANNELS * 2 ** (num_blocks - depth))
+        for depth in range(num_blocks + 1)
     )
 
 

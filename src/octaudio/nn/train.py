@@ -17,6 +17,7 @@ seed reproduces losses, CSV and checkpoints bit for bit.
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -64,19 +65,28 @@ class TrainConfig:
             raise ConfigError("n_critic must be at least 1")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
             raise ConfigError("Adam betas must lie in [0, 1)")
+        finite = ("learning_rate", "gp_lambda", "drift_epsilon", "noise_scale",
+                  "alpha", "db_reference")
+        infinite = [k for k in finite if not math.isfinite(getattr(self, k))]
+        if infinite:
+            raise ConfigError(f"{', '.join(infinite)} must be finite")
         if self.gp_lambda < 0 or self.drift_epsilon < 0 or self.noise_scale < 0:
             raise ConfigError("gp_lambda, drift_epsilon, noise_scale must be >= 0")
+        if self.alpha <= 0:
+            raise ConfigError("alpha must be positive")
         self.freeze_blocks = tuple(int(b) for b in self.freeze_blocks)
+
+
+ADAM_EPS = 1e-8
 
 
 class Adam:
     """Standard Adam with bias correction, updating parameters in place."""
 
-    def __init__(self, params, lr, beta1, beta2, eps=1e-8):
+    def __init__(self, params, lr, beta1, beta2):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros(p.shape) for k, p in params.items()}
         self.v = {k: np.zeros(p.shape) for k, p in params.items()}
@@ -91,22 +101,21 @@ class Adam:
             m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
             v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
             param.data = param.data - self.lr * (m / correct1) / (
-                np.sqrt(v / correct2) + self.eps
+                np.sqrt(v / correct2) + ADAM_EPS
             )
 
 
-def quantization_noise_sigma(batch, sample_rate_hz, partition, alpha, db_reference):
+def quantization_noise_sigma(batch, partition, alpha, db_reference):
     """Per-bin noise std = step/2 of each (B, M, N, C) sample's own thresholds."""
     return 0.5 * noise_step(batch, partition, alpha, db_reference)
 
 
 def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng,
                    noise_fn=None):
-    """Critic and generator losses plus scalar diagnostics.
+    """Critic loss plus scalar diagnostics.
 
-    real is a (B, M, N, C) array; fake is a Tensor or array. train() uses
-    only loss_d, on a fake made under no_grad; generator updates call
-    generator_loss, which computes the generator term alone.
+    real is a (B, M, N, C) array; fake is a Tensor or array (train() makes
+    it under no_grad). The generator's loss is generator_loss.
     noise_fn(batch_array, rng) -> additive noise applied to both sides.
     """
     fake = fake if isinstance(fake, ad.Tensor) else ad.constant(fake)
@@ -138,22 +147,20 @@ def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng,
             ad.scale(ad.mean(ad.power(d_real, 2.0)), drift_epsilon),
         ),
     )
-    loss_g = ad.neg(ad.mean(d_fake))
-    return loss_d, loss_g, {
+    return loss_d, {
         "wasserstein": wasserstein,
         "penalty": float(penalty.data),
     }
 
 
 def generator_loss(fake, discriminator_fn, rng, noise_fn=None):
-    """-mean D(fake + noise(fake)): the generator loss of wgan_gp_losses.
+    """-mean D(fake + noise(fake)): the generator loss.
 
-    fake is a Tensor attached to the generator. Only the term the generator
-    update uses is computed: no D(real), no D(xhat) and no penalty gradient.
-    rng advances exactly as in wgan_gp_losses (the real-batch noise draw,
-    the fake noise, then the interpolation weights), so a seeded run that
-    switches to this function keeps its trajectory bit for bit. noise_fn
-    must draw one standard_normal(batch.shape), as train()'s does.
+    fake is a Tensor attached to the generator. rng advances exactly as in
+    wgan_gp_losses (the real-batch noise draw, the fake noise, then the
+    interpolation weights), so the generator and critic steps draw from one
+    stream in the same order. noise_fn must draw one
+    standard_normal(batch.shape), as train()'s does.
     """
     if noise_fn is not None:
         rng.standard_normal(fake.shape)     # stands in for the real noise
@@ -210,9 +217,7 @@ def train(dataset, model_cfg, train_cfg, out_dir, checkpoint_every=0,
     if train_cfg.noise_scale > 0:
         def noise_fn(batch, noise_rng):
             sigma = quantization_noise_sigma(
-                batch, sample_rate, partition, train_cfg.alpha,
-                train_cfg.db_reference,
-            )
+                batch, partition, train_cfg.alpha, train_cfg.db_reference)
             return noise_rng.standard_normal(batch.shape) * (
                 train_cfg.noise_scale * sigma
             )
@@ -240,7 +245,7 @@ def train(dataset, model_cfg, train_cfg, out_dir, checkpoint_every=0,
             with ad.no_grad():
                 fake = generator(ad.constant(z), g_params, model_cfg)
 
-            loss_d, _, stats = wgan_gp_losses(
+            loss_d, stats = wgan_gp_losses(
                 real, fake, d_fn, train_cfg.gp_lambda,
                 train_cfg.drift_epsilon, rng, noise_fn,
             )

@@ -90,8 +90,14 @@ def absolute_threshold_db(freq_hz):
 
 
 def absolute_threshold(partition, db_reference=DEFAULT_DB_REFERENCE):
-    """Per-band absolute threshold as signal-unit intensity."""
-    level_db = absolute_threshold_db(partition.band_mid_hz)
+    """Per-band absolute threshold as signal-unit intensity, at most 1.
+
+    The fit grows as f^4 (96 dB at 17.6 kHz, 160 dB at 20 kHz); a level
+    above full scale (db_reference) is capped there, since no representable
+    sound is audible in that band.
+    """
+    level_db = np.minimum(absolute_threshold_db(partition.band_mid_hz),
+                          db_reference)
     return 10.0 ** ((level_db - db_reference) / 10.0)
 
 
@@ -247,7 +253,8 @@ def noise_step(tensor, partition=None, alpha=DEFAULT_ALPHA,
 
 def write_thresholds_csv(tensor, path, partition=None, alpha=DEFAULT_ALPHA,
                          db_reference=DEFAULT_DB_REFERENCE):
-    """Dump per-block per-band thresholds (channel-averaged) as CSV.
+    """Dump per-block per-band thresholds (channel-averaged) as CSV and
+    return them (MaskingThresholds).
 
     Rows are (block, bark_band, I_abs, I_mask, combined, tau) in the bytes
     of an excel-dialect csv.writer, "\r\n" line ends included. Each value
@@ -281,3 +288,4 @@ def write_thresholds_csv(tensor, path, partition=None, alpha=DEFAULT_ALPHA,
                 head, tail = f"{m},", f"{tau_m:.9f}\r\n"
                 k = (m - start) * len(bands)
                 fh.write(head + (tail + head).join(cells[k:k + len(bands)]) + tail)
+    return thr

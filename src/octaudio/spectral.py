@@ -22,7 +22,6 @@ class Spectrogram:
 
     values: np.ndarray
     sample_rate_hz: int
-    db_floor: float = DEFAULT_DB_FLOOR
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -70,27 +69,32 @@ def write_pgm(pixels, path):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _db_scaled(magnitude, db_per_decade, db_floor):
+    """Non-negative magnitude in dB (db_per_decade * log10) mapped linearly
+    from [peak_dB + db_floor, peak_dB] onto [0, 1], clipped; all zeros when
+    the peak is not positive."""
+    peak = magnitude.max(initial=0.0)
+    if peak <= 0.0:
+        return np.zeros(magnitude.shape)
+    floor = peak * 10.0 ** (db_floor / db_per_decade)
+    level_db = db_per_decade * np.log10(np.maximum(magnitude, floor))
+    top = db_per_decade * np.log10(peak)
+    return np.clip((level_db - (top + db_floor)) / -db_floor, 0.0, 1.0)
+
+
 def db_pixels(values, db_floor=DEFAULT_DB_FLOOR):
     """Map non-negative values onto [0, 255] over [max_dB + db_floor, max_dB].
 
     values is (M, N); output is (N, M) with band 0 in the last row.
     An all-zero input maps to all-zero pixels.
     """
-    values = np.asarray(values, dtype=np.float64)
-    peak = values.max(initial=0.0)
-    if peak <= 0.0:
-        return np.zeros((values.shape[1], values.shape[0]), dtype=np.uint8)
-    floor = peak * 10.0 ** (db_floor / 10.0)
-    level_db = 10.0 * np.log10(np.maximum(values, floor))
-    top = 10.0 * np.log10(peak)
-    scaled = (level_db - (top + db_floor)) / -db_floor
-    pixels = np.round(255.0 * np.clip(scaled, 0.0, 1.0)).astype(np.uint8)
-    return pixels.T[::-1]
+    scaled = _db_scaled(np.asarray(values, dtype=np.float64), 10.0, db_floor)
+    return np.round(255.0 * scaled).astype(np.uint8).T[::-1]
 
 
-def to_db_image(spec, path):
+def to_db_image(spec, path, db_floor=DEFAULT_DB_FLOOR):
     """Render the channel-averaged power grid as a dB-scale PGM."""
-    write_pgm(db_pixels(spec.values.mean(axis=2), spec.db_floor), path)
+    write_pgm(db_pixels(spec.values.mean(axis=2), db_floor), path)
 
 
 def signed_db_pixels(amplitudes, db_floor=DEFAULT_DB_FLOOR):
@@ -101,17 +105,9 @@ def signed_db_pixels(amplitudes, db_floor=DEFAULT_DB_FLOOR):
     about mid-gray (pixel -> 256 - pixel).
     """
     amplitudes = np.asarray(amplitudes, dtype=np.float64)
-    magnitude = np.abs(amplitudes)
-    peak = magnitude.max(initial=0.0)
-    if peak <= 0.0:
-        return np.full((amplitudes.shape[1], amplitudes.shape[0]), 128, dtype=np.uint8)
-    floor = peak * 10.0 ** (db_floor / 20.0)
-    level_db = 20.0 * np.log10(np.maximum(magnitude, floor))
-    top = 20.0 * np.log10(peak)
-    scaled = np.clip((level_db - (top + db_floor)) / -db_floor, 0.0, 1.0)
+    scaled = _db_scaled(np.abs(amplitudes), 20.0, db_floor)
     offset = np.round(127.0 * scaled) * np.sign(amplitudes)
-    pixels = (128 + offset).astype(np.uint8)
-    return pixels.T[::-1]
+    return (128 + offset).astype(np.uint8).T[::-1]
 
 
 def signed_db_image(tensor, path, db_floor=DEFAULT_DB_FLOOR):
@@ -174,13 +170,10 @@ def mean_tonality(tensor):
     return float(tonality_series(tensor).mean())
 
 
-def write_tonality_csv(tensor, path):
-    """CSV rows (block_index, time_seconds, tau); returns the tau series."""
-    series = tonality_series(tensor)
-    block_seconds = tensor.band_count / tensor.sample_rate_hz
+def write_tonality_csv(series, block_seconds, path):
+    """CSV rows (block_index, time_seconds, tau) of a per-block series."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["block_index", "time_seconds", "tau"])
         for m, tau in enumerate(series):
             writer.writerow([m, f"{m * block_seconds:.6f}", f"{tau:.9f}"])
-    return series

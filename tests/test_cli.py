@@ -137,6 +137,19 @@ def test_roundtrip_noise_one_reports_bands(tmp_path, capsys, monkeypatch):
     assert out_wav.exists()
 
 
+def test_roundtrip_48khz_clips_nothing(tmp_path, capsys):
+    # the hearing-threshold fit passes full scale near 39 kHz; uncapped, the
+    # top band's noise step dwarfed full scale and 97% of samples clipped
+    wav = tmp_path / "in.wav"
+    write_tone(wav, freq=1000.0, seconds=0.5, amp=0.3, fs=48000)
+    out_wav = tmp_path / "out.wav"
+    assert main(["roundtrip", str(wav), str(out_wav), "--noise", "1"]) == 0
+    original, noisy = read_wav(wav).samples, read_wav(out_wav).samples
+    assert np.max(np.abs(noisy)) < 0.9
+    rms = np.sqrt(np.mean((noisy - original[:len(noisy)]) ** 2))
+    assert rms < 0.1
+
+
 def test_roundtrip_large_noise_flags_audible(tmp_path, capsys):
     wav = tmp_path / "in.wav"
     write_tone(wav, seconds=0.5)
@@ -304,6 +317,23 @@ def test_train_bad_config_exit_1(tmp_path, capsys):
     config.write_bytes(b"\xff\xfe[model]\n")
     assert main(["train", str(config)]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
+    # training values are checked when the file is read, not mid-training
+    for old, new in [
+        ("[train]", "[train]\nlearning_rate = nan"),
+        ("[train]", "[train]\ngp_lambda = inf"),
+        ("[train]", "[train]\ndrift_epsilon = nan"),
+        ("noise_scale = 1.0", "noise_scale = inf"),
+        ("[audio]", "[audio]\nalpha = 0"),
+        ("[audio]", "[audio]\nalpha = nan"),
+        ("[audio]", "[audio]\ndb_reference = inf"),
+        ("sample_rate_hz = 2048", "sample_rate_hz = 99999999999"),
+    ]:
+        write_toy_config(config)
+        config.write_text(config.read_text().replace(old, new))
+        run_dir = tmp_path / "run"
+        assert main(["train", str(config), "--out-dir", str(run_dir)]) == 1, new
+        assert capsys.readouterr().err.startswith("config error: "), new
+        assert not run_dir.exists()
 
 
 def test_train_missing_config_exit_1(tmp_path):
@@ -349,6 +379,25 @@ freeze_blocks = {blocks}
         load_config(path)
 
 
+def test_analyze_computes_tonality_once(tmp_path, monkeypatch):
+    from octaudio import spectral
+
+    calls = []
+    tonality = psycho.tonality
+
+    def counted(amplitudes):
+        calls.append(amplitudes.shape)
+        return tonality(amplitudes)
+
+    monkeypatch.setattr(psycho, "tonality", counted)
+    monkeypatch.setattr(spectral, "tonality", counted)
+    wav = tmp_path / "t.wav"
+    write_tone(wav, seconds=0.1)
+    assert main(["analyze", str(wav), str(tmp_path / "o")]) == 0
+    # the thresholds and tonality.csv share one tonality computation
+    assert len(calls) == 1
+
+
 def test_quiet_env_suppresses_chatter(tmp_path, capsys, monkeypatch):
     wav = tmp_path / "t.wav"
     write_tone(wav, seconds=0.1)
@@ -387,6 +436,8 @@ def test_config_removed_audio_key_exit_1(tmp_path, capsys, key):
     ("sample", "--seed", "-1"),
     ("sample", "--sample-rate", "0"),
     ("sample", "--sample-rate", "99999999999"),
+    ("shapes", "--channels", "a,b"),
+    ("shapes", "--channels", "4,,2"),
 ])
 def test_bad_numeric_argument_is_usage_error(tmp_path, capsys, command, option,
                                              value):
@@ -396,7 +447,7 @@ def test_bad_numeric_argument_is_usage_error(tmp_path, capsys, command, option,
     write_toy_checkpoint(checkpoint)
     first = {"analyze": [wav, tmp_path / "o"], "reduce": [wav, tmp_path / "o"],
              "roundtrip": [wav, tmp_path / "o.wav"],
-             "sample": [checkpoint, tmp_path / "o"]}[command]
+             "sample": [checkpoint, tmp_path / "o"], "shapes": []}[command]
     argv = [command, *map(str, first), f"{option}={value}"]   # "-inf" is no flag
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -93,7 +93,7 @@ PARSERS = [read_wav, load_tensor, load_checkpoint, load_config]
 
 
 @pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)
-@settings(max_examples=200, deadline=None)
+@settings(deadline=None)    # examples: the profile's (tests/conftest.py)
 @given(data=st.data())
 def test_parser_raises_only_toolkit_errors(fuzz_dir, valid_files, parse, data):
     blob = data.draw(st.one_of(st.binary(max_size=256),

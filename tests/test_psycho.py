@@ -77,6 +77,19 @@ def test_absolute_threshold_10khz_dominated_by_quartic():
     assert absolute_threshold_db(10000.0) == pytest.approx(10.58, abs=0.01)
 
 
+@pytest.mark.parametrize("rate", [48000, 96000, 192000])
+def test_absolute_threshold_capped_at_full_scale(rate):
+    # the fit reaches ~9700 dB in the top band at 192 kHz; 10^(that/10)
+    # overflowed to inf
+    partition = bark_partition(rate, 1024)
+    with np.errstate(over="raise", invalid="raise"):
+        intensities = absolute_threshold(partition)
+    assert np.all(np.isfinite(intensities)) and np.all(intensities <= 1.0)
+    above = absolute_threshold_db(partition.band_mid_hz) >= 96.0
+    assert above.any()
+    np.testing.assert_array_equal(intensities[above], 1.0)
+
+
 def test_absolute_threshold_intensity_reference(partition):
     intensities = absolute_threshold(partition, db_reference=96.0)
     level = absolute_threshold_db(partition.band_mid_hz)
