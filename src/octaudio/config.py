@@ -95,6 +95,8 @@ class AppConfig:
         if not 1 <= self.sample_rate_hz <= MAX_SAMPLE_RATE_HZ:
             raise ConfigError(
                 f"sample_rate_hz must lie in 1..{MAX_SAMPLE_RATE_HZ}")
+        if self.checkpoint_every < 0:
+            raise ConfigError("[train] checkpoint_every must be >= 0")
         if self.data_source not in ("tones", "wavs"):
             raise ConfigError(f"unknown data source {self.data_source!r}")
 

@@ -167,9 +167,15 @@ def power(a, exponent):
 
 
 def leaky_relu(a, slope=0.2):
+    """max(a, slope * a) for 0 < slope <= 1; the gate exists only in the vjp."""
     a = _as_tensor(a)
-    gate = np.where(a.data >= 0.0, 1.0, slope)
-    return Tensor(a.data * gate, (a,), (lambda g: mul(g, constant(gate)),))
+    out = a.data * slope
+    np.maximum(out, a.data, out=out)
+
+    def backward(g):
+        return mul(g, constant(np.where(a.data >= 0.0, 1.0, slope)))
+
+    return Tensor(out, (a,), (backward,))
 
 
 # ---------------------------------------------------------------------------
@@ -247,28 +253,28 @@ def matmul(a, b):
 
 
 # ---------------------------------------------------------------------------
-# strided patches / slicing (all linear)
+# patches / slicing (all linear)
 
-def unfold(a, kernel, strides):
-    """Strided patch extraction: (B, Mp, Np, C) -> (B, Mo, No, kh, kw, C).
+def unfold(a, kernel):
+    """Stride-1 patch extraction: (B, Mp, Np, C) -> (B, Mo, No, kh, kw, C).
 
-    out[:, i, j, di, dj] = a[:, i*sm + di, j*sk + dj] with
-    Mo = (Mp - kh) // sm + 1 and No = (Np - kw) // sk + 1.
+    out[:, i, j, di, dj] = a[:, i + di, j + dj] with Mo = Mp - kh + 1 and
+    No = Np - kw + 1.
     """
     a = _as_tensor(a)
-    (kh, kw), (sm, sk) = kernel, strides
+    kh, kw = kernel
     if a.ndim != 4 or a.shape[1] < kh or a.shape[2] < kw:
         raise ShapeError(f"unfold of {a.shape} needs (B, >={kh}, >={kw}, C)")
-    windows = sliding_window_view(a.data, (kh, kw), axis=(1, 2))[:, ::sm, ::sk]
+    windows = sliding_window_view(a.data, (kh, kw), axis=(1, 2))
     data = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
     return Tensor(
         data,
         (a,),
-        (lambda g, size=a.shape[1:3]: fold(g, strides, size),),
+        (lambda g, size=a.shape[1:3]: fold(g, size),),
     )
 
 
-def fold(a, strides, size):
+def fold(a, size):
     """Adjoint of unfold: sum (B, Mo, No, kh, kw, C) patches into a
     (B, Mp, Np, C) grid with (Mp, Np) = size.
 
@@ -280,19 +286,25 @@ def fold(a, strides, size):
     if a.ndim != 6:
         raise ShapeError("fold expects (B, Mo, No, kh, kw, C)")
     batch, mo, no, kh, kw, channels = a.shape
-    (sm, sk), (mp, np_) = strides, size
-    if (mp - kh) // sm + 1 != mo or (np_ - kw) // sk + 1 != no:
+    mp, np_ = size
+    if mp - kh + 1 != mo or np_ - kw + 1 != no:
         raise ShapeError(f"fold of {a.shape} does not tile a {mp} x {np_} grid")
     out = np.zeros((batch, mp, np_, channels))
     for di in range(kh - 1, -1, -1):
-        rows = slice(di, di + (mo - 1) * sm + 1, sm)
         for dj in range(kw - 1, -1, -1):
-            out[:, rows, dj:dj + (no - 1) * sk + 1:sk] += a.data[:, :, :, di, dj]
+            out[:, di:di + mo, dj:dj + no] += a.data[:, :, :, di, dj]
     return Tensor(
         out,
         (a,),
-        (lambda g: unfold(g, (kh, kw), strides),),
+        (lambda g: unfold(g, (kh, kw)),),
     )
+
+
+def flip(a, axes):
+    """Reverse the order along `axes`; its own adjoint."""
+    a = _as_tensor(a)
+    axes = tuple(axes)
+    return Tensor(np.flip(a.data, axes), (a,), (lambda g: flip(g, axes),))
 
 
 # take_axis1 and scatter_axis1 are the index-map gather/scatter that unfold

@@ -2,8 +2,16 @@
 
 Convolutions use SAME padding: with stride s the output length is
 ceil(in/s), so strided layers divide an axis exactly and transposed layers
-multiply it exactly. A convolution is pad -> strided unfold -> matmul, and a
-transposed convolution is its adjoint: matmul -> fold -> crop.
+multiply it exactly.
+
+Strided layers run in polyphase (sub-pixel) form, so patches are only ever
+taken at stride 1. The kernel is zero-padded to a whole number of taps per
+stride, t = ceil(k/s), and regrouped by phase: offset d = tap*s + phase.
+- conv2d: pad -> space-to-depth (each s-cell becomes one deep pixel) ->
+  stride-1 unfold of t taps -> matmul.
+- transposed_conv2d, its adjoint: pad -> stride-1 unfold of t taps ->
+  matmul against the tap-reversed kernel, producing all s phases of each
+  output cell at once -> depth-to-space -> crop.
 """
 
 from ..errors import ShapeError
@@ -12,10 +20,29 @@ from . import autodiff as ad
 LEAKY_SLOPE = 0.2
 
 
-def _pad_amounts(length, kernel, stride):
+def _pad_before(length, kernel, stride):
+    """Leading zeros of SAME padding: half the total, rounded down."""
     out = -(-length // stride)
-    total = max((out - 1) * stride + kernel - length, 0)
-    return total // 2, total - total // 2
+    return max((out - 1) * stride + kernel - length, 0) // 2
+
+
+def _check_channels(name, weights, x):
+    if weights.shape[2] != x.shape[3]:
+        raise ShapeError(
+            f"{name} weights expect {weights.shape[2]} channels, "
+            f"input has {x.shape[3]}"
+        )
+
+
+def _phase_kernel(weights, strides):
+    """(kh, kw, Cin, Cout) -> (th, sm, tw, sk, Cin, Cout), zero-padding each
+    kernel axis to th*sm and tw*sk offsets."""
+    kh, kw, cin, cout = weights.shape
+    sm, sk = strides
+    th, tw = -(-kh // sm), -(-kw // sk)
+    w = ad.pad_axis(weights, 0, 0, th * sm - kh)
+    w = ad.pad_axis(w, 1, 0, tw * sk - kw)
+    return ad.reshape(w, (th, sm, tw, sk, cin, cout))
 
 
 def conv2d(x, weights, bias, strides):
@@ -24,10 +51,9 @@ def conv2d(x, weights, bias, strides):
     x: (B, M, N, Cin); weights: (kh, kw, Cin, Cout); bias: (Cout,).
     Returns (B, ceil(M/sm), ceil(N/sk), Cout).
     """
+    _check_channels("conv2d", weights, x)
     batch, m, n, cin = x.shape
-    kh, kw, wcin, cout = weights.shape
-    if wcin != cin:
-        raise ShapeError(f"conv2d weights expect {wcin} channels, input has {cin}")
+    kh, kw, _, cout = weights.shape
     sm, sk = strides
 
     if (kh, kw) == (1, 1) and (sm, sk) == (1, 1):
@@ -36,12 +62,22 @@ def conv2d(x, weights, bias, strides):
         out = ad.add(out, bias)
         return ad.reshape(out, (batch, m, n, cout))
 
-    h = ad.pad_axis(x, 1, *_pad_amounts(m, kh, sm))
-    h = ad.pad_axis(h, 2, *_pad_amounts(n, kw, sk))
-    patches = ad.unfold(h, (kh, kw), (sm, sk))            # (B, Mo, No, kh, kw, Cin)
-    mo, no = patches.shape[1:3]
-    patches = ad.reshape(patches, (batch * mo * no, kh * kw * cin))
-    out = ad.matmul(patches, ad.reshape(weights, (kh * kw * cin, cout)))
+    w = _phase_kernel(weights, strides)
+    th, tw = w.shape[0], w.shape[2]
+    mo, no = -(-m // sm), -(-n // sk)
+    # pad to exactly (mo + th - 1) s-cells: patch i then starts at cell i
+    before_m, before_n = _pad_before(m, kh, sm), _pad_before(n, kw, sk)
+    h = ad.pad_axis(x, 1, before_m, (mo + th - 1) * sm - m - before_m)
+    h = ad.pad_axis(h, 2, before_n, (no + tw - 1) * sk - n - before_n)
+    # space-to-depth: h[:, a*sm + r, b*sk + q] -> deep pixel (a, b), phase (r, q)
+    depth = sm * sk * cin
+    h = ad.reshape(h, (batch, mo + th - 1, sm, no + tw - 1, sk, cin))
+    h = ad.permute(h, (0, 1, 3, 2, 4, 5))
+    h = ad.reshape(h, (batch, mo + th - 1, no + tw - 1, depth))
+    w = ad.permute(w, (0, 2, 1, 3, 4, 5))                # (th, tw, sm, sk, Cin, Cout)
+    patches = ad.unfold(h, (th, tw))                    # (B, Mo, No, th, tw, depth)
+    patches = ad.reshape(patches, (batch * mo * no, th * tw * depth))
+    out = ad.matmul(patches, ad.reshape(w, (th * tw * depth, cout)))
     out = ad.add(out, bias)
     return ad.reshape(out, (batch, mo, no, cout))
 
@@ -52,27 +88,35 @@ def transposed_conv2d(x, weights, bias, strides):
     x: (B, M, N, Cin); weights: (kh, kw, Cin, Cout); bias: (Cout,).
     Returns (B, M*sm, N*sk, Cout).
     """
+    _check_channels("transposed_conv2d", weights, x)
     batch, m, n, cin = x.shape
-    kh, kw, wcin, cout = weights.shape
-    if wcin != cin:
-        raise ShapeError(
-            f"transposed_conv2d weights expect {wcin} channels, input has {cin}"
-        )
+    kh, kw, _, cout = weights.shape
     sm, sk = strides
+    w = _phase_kernel(weights, strides)
+    th, tw = w.shape[0], w.shape[2]
     mo, no = m * sm, n * sk
-    before_m, after_m = _pad_amounts(mo, kh, sm)
-    before_n, after_n = _pad_amounts(no, kw, sk)
+    before_m, before_n = _pad_before(mo, kh, sm), _pad_before(no, kw, sk)
 
-    # (kh, kw, Cin, Cout) -> (Cin, kh*kw*Cout) so each source cell emits one
-    # (kh, kw, Cout) patch, the layout fold sums into the padded grid
-    w2d = ad.reshape(ad.permute(weights, (2, 0, 1, 3)), (cin, kh * kw * cout))
-    t = ad.matmul(ad.reshape(x, (batch * m * n, cin)), w2d)
-    t = ad.reshape(t, (batch, m, n, kh, kw, cout))
-    size = (before_m + mo + after_m, before_n + no + after_n)
-    spread = ad.fold(t, (sm, sk), size)
-    cropped = ad.slice_axis(spread, 1, before_m, before_m + mo)
-    cropped = ad.slice_axis(cropped, 2, before_n, before_n + no)
-    return ad.add(cropped, bias)
+    # Output offset u = a*s + r (in the uncropped grid) sums x[a - t] against
+    # kernel offset t*s + r. Cells a = first..last cover the SAME window; the
+    # stride-1 patch at cell a holds x[a - th + 1 .. a], taps in reverse.
+    first_m, last_m = before_m // sm, (before_m + mo - 1) // sm
+    first_n, last_n = before_n // sk, (before_n + no - 1) // sk
+    h = ad.pad_axis(x, 1, th - 1 - first_m, last_m - (m - 1))
+    h = ad.pad_axis(h, 2, tw - 1 - first_n, last_n - (n - 1))
+    cells_m, cells_n = last_m - first_m + 1, last_n - first_n + 1
+    patches = ad.unfold(h, (th, tw))                    # (B, cells_m, cells_n, th, tw, Cin)
+    patches = ad.reshape(patches, (batch * cells_m * cells_n, th * tw * cin))
+    w = ad.permute(ad.flip(w, (0, 2)), (0, 2, 4, 1, 3, 5))  # (th, tw, Cin, sm, sk, Cout)
+    t = ad.matmul(patches, ad.reshape(w, (th * tw * cin, sm * sk * cout)))
+    # depth-to-space: phase (r, q) of cell (a, b) -> row a*sm + r, column b*sk + q
+    t = ad.reshape(t, (batch, cells_m, cells_n, sm, sk, cout))
+    t = ad.permute(t, (0, 1, 3, 2, 4, 5))
+    t = ad.reshape(t, (batch, cells_m * sm, cells_n * sk, cout))
+    top, left = before_m - first_m * sm, before_n - first_n * sk
+    t = ad.slice_axis(t, 1, top, top + mo)
+    t = ad.slice_axis(t, 2, left, left + no)
+    return ad.add(t, bias)
 
 
 def dense(x, weights, bias):

@@ -1,8 +1,13 @@
 """Hypothesis profiles.
 
 The default profile makes tier-1 reproducible: every run draws the same
-examples. `pytest --hypothesis-profile=deep tests/test_fuzz.py` explores
-with fresh random seeds and 20x the examples; CI runs it as its own step.
+examples. The `deep` profile explores with fresh random seeds and 20x the
+examples. CI runs it as its own step, over the parser fuzzers and the two
+adjoint identities, whose example counts the profile sets:
+
+    pytest --hypothesis-profile=deep tests/test_fuzz.py \
+        tests/test_autodiff.py::test_unfold_fold_are_adjoint \
+        tests/test_autodiff.py::test_conv2d_transposed_conv2d_are_adjoint
 """
 
 from hypothesis import settings

@@ -327,6 +327,7 @@ def test_train_bad_config_exit_1(tmp_path, capsys):
         ("[audio]", "[audio]\nalpha = nan"),
         ("[audio]", "[audio]\ndb_reference = inf"),
         ("sample_rate_hz = 2048", "sample_rate_hz = 99999999999"),
+        ("[train]", "[train]\ncheckpoint_every = -1"),
     ]:
         write_toy_config(config)
         config.write_text(config.read_text().replace(old, new))
