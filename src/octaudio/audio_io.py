@@ -27,6 +27,9 @@ RESAMPLE_KAISER_BETA = 8.0
 # the stopband.
 RESAMPLE_CUTOFF_SCALE = 0.9
 
+# frames converted to int16 per write in write_wav (1 MB of float64 stereo)
+WRITE_CHUNK_FRAMES = 65536
+
 
 @dataclass
 class AudioBuffer:
@@ -119,31 +122,46 @@ def read_wav(path):
     if len(data) % frame_size != 0:
         raise ParseError(f"{path}: data chunk is not a whole number of frames")
 
-    flat = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
+    flat = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    flat *= scale
     if dtype.kind == "f" and not np.all(np.isfinite(flat)):
         raise ParseError(f"{path}: non-finite float samples")
     return AudioBuffer(flat.reshape(-1, channels), sample_rate)
 
 
 def write_wav(buf, path):
-    """Write an AudioBuffer as 16-bit PCM, clamping to [-1, 1 - 2^-15]."""
+    """Write an AudioBuffer as 16-bit PCM, clamping to [-1, 1 - 2^-15].
+
+    Samples are converted WRITE_CHUNK_FRAMES frames at a time, so the
+    writer's own memory does not grow with the signal. Non-finite samples
+    raise ValueError before the file is opened, so nothing is written.
+    """
     samples = buf.samples
-    if not np.all(np.isfinite(samples)):
+    starts = range(0, len(samples), WRITE_CHUNK_FRAMES)
+    if not all(np.isfinite(samples[i:i + WRITE_CHUNK_FRAMES]).all()
+               for i in starts):
         raise ValueError("cannot write non-finite samples")
-    clamped = np.clip(samples, -1.0, 1.0 - 2.0 ** -15)
-    ints = np.round(clamped * INT16_FULL_SCALE).astype("<i2")
 
     channels = buf.channels
     byte_rate = buf.sample_rate_hz * channels * 2
-    data = ints.tobytes()
-    header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+    data_size = samples.size * 2
+    header = b"RIFF" + struct.pack("<I", 36 + data_size) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH", 16, 1, channels, buf.sample_rate_hz, byte_rate, channels * 2, 16
     )
-    header += b"data" + struct.pack("<I", len(data))
+    header += b"data" + struct.pack("<I", data_size)
+    # C-ordered, so each chunk's int16 copy is in frame order whatever the
+    # layout of samples (mdct_inverse returns a transposed view)
+    scratch = np.empty((min(len(samples), WRITE_CHUNK_FRAMES), channels))
     try:
         with open(path, "wb") as fh:
-            fh.write(header + data)
+            fh.write(header)
+            for i in starts:
+                block = samples[i:i + WRITE_CHUNK_FRAMES]
+                chunk = np.clip(block, -1.0, 1.0 - 2.0 ** -15,
+                                out=scratch[:len(block)])
+                chunk *= INT16_FULL_SCALE
+                fh.write(np.round(chunk, out=chunk).astype("<i2"))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

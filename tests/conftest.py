@@ -2,12 +2,16 @@
 
 The default profile makes tier-1 reproducible: every run draws the same
 examples. The `deep` profile explores with fresh random seeds and 20x the
-examples. CI runs it as its own step, over the parser fuzzers and the two
-adjoint identities, whose example counts the profile sets:
+examples. CI runs it as its own step, over the parser fuzzers, the two
+adjoint identities and the two streaming equivalences (the chunked WAV
+writer and the chunked roundtrip against their whole-signal versions),
+whose example counts the profile sets:
 
     pytest --hypothesis-profile=deep tests/test_fuzz.py \
         tests/test_autodiff.py::test_unfold_fold_are_adjoint \
-        tests/test_autodiff.py::test_conv2d_transposed_conv2d_are_adjoint
+        tests/test_autodiff.py::test_conv2d_transposed_conv2d_are_adjoint \
+        tests/test_audio_io.py::test_write_matches_whole_signal_writer \
+        tests/test_cli.py::test_chunked_roundtrip_matches_whole_track
 """
 
 from hypothesis import settings

@@ -1,10 +1,14 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from octaudio import audio_io
 from octaudio.audio_io import (
     AudioBuffer,
     read_wav,
@@ -12,7 +16,7 @@ from octaudio.audio_io import (
     slice_segments,
     write_wav,
 )
-from octaudio.errors import ParseError, UnsupportedFormat
+from octaudio.errors import IoError, ParseError, UnsupportedFormat
 
 
 def make_wav_bytes(int16_frames, sample_rate=44100, channels=1,
@@ -130,6 +134,66 @@ def test_write_read_roundtrip_error_bound(seed):
         assert np.max(np.abs(back.samples - np.clip(samples, -1, 1 - 2 ** -15))) <= 2 ** -15
     finally:
         os.unlink(path)
+
+
+def whole_signal_wav_bytes(buf):
+    """The writer before it streamed: whole-signal clip, int16 and bytes."""
+    clamped = np.clip(buf.samples, -1.0, 1.0 - 2.0 ** -15)
+    data = np.round(clamped * 32768.0).astype("<i2").tobytes()
+    channels = buf.channels
+    header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+    header += b"fmt " + struct.pack(
+        "<IHHIIHH", 16, 1, channels, buf.sample_rate_hz,
+        buf.sample_rate_hz * channels * 2, channels * 2, 16,
+    )
+    return header + b"data" + struct.pack("<I", len(data)) + data
+
+
+CHUNK_FRAMES = 4     # write_wav's chunk size in the tests below
+
+sample_values = st.one_of(
+    st.floats(-3.0, 3.0),
+    # the clamp limits and values halfway between two 16-bit steps
+    st.sampled_from([-1.0, 1.0, 1.0 - 2.0 ** -15, 0.5 / 32768, -2.5 / 32768]),
+)
+
+
+@settings(deadline=None)
+@given(
+    frames=st.integers(0, 3 * CHUNK_FRAMES + 1),
+    channels=st.sampled_from([1, 2]),
+    transposed=st.booleans(),
+    data=st.data(),
+)
+def test_write_matches_whole_signal_writer(frames, channels, transposed, data):
+    samples = data.draw(arrays(np.float64, (frames, channels),
+                               elements=sample_values))
+    if transposed:      # the layout mdct_inverse returns
+        samples = np.ascontiguousarray(samples.T).T
+    buf = AudioBuffer(samples, 22016)
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audio_io, "WRITE_CHUNK_FRAMES", CHUNK_FRAMES)
+        path = os.path.join(tmp, "w.wav")
+        write_wav(buf, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == whole_signal_wav_bytes(buf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_non_finite_raises_and_writes_nothing(tmp_path, monkeypatch, bad):
+    monkeypatch.setattr(audio_io, "WRITE_CHUNK_FRAMES", CHUNK_FRAMES)
+    samples = np.zeros((3 * CHUNK_FRAMES + 1, 2))
+    samples[-1, 1] = bad        # in the last chunk
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_wav(AudioBuffer(samples, 22016), path)
+    assert not path.exists()
+
+
+def test_write_unwritable_path_is_io_error(tmp_path):
+    with pytest.raises(IoError):
+        write_wav(AudioBuffer(np.zeros(8), 22016), tmp_path / "no_dir" / "o.wav")
 
 
 def test_resample_identity():

@@ -1,15 +1,23 @@
+import contextlib
 import csv
+import io
+import math
 import os
 import struct
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from octaudio import psycho
+from octaudio import cli, psycho
 from octaudio.audio_io import AudioBuffer, read_wav, write_wav
 from octaudio.cli import main
 from octaudio.config import load_config
 from octaudio.errors import ConfigError
+from octaudio.mdct import mdct_forward_fast, mdct_inverse
 from octaudio.nn.model import (
     ModelConfig,
     generator_param_shapes,
@@ -156,6 +164,126 @@ def test_roundtrip_large_noise_flags_audible(tmp_path, capsys):
     out_wav = tmp_path / "loud.wav"
     assert main(["roundtrip", str(wav), str(out_wav), "--noise", "100"]) == 0
     assert "AUDIBLE" in capsys.readouterr().out
+
+
+def test_roundtrip_unwritable_output_exit_2(tmp_path, capsys):
+    wav = tmp_path / "in.wav"
+    write_tone(wav, seconds=0.1)
+    assert main(["roundtrip", str(wav), str(tmp_path / "no_dir" / "o.wav")]) == 2
+    assert_input_error(capsys)
+
+
+def whole_track_roundtrip(wav, out_wav, noise, seed, bands):
+    """roundtrip before it ran in passes: one forward, noise and inverse over
+    the whole track, with the band report from whole-track means. Returns
+    the band table as printed."""
+    buf = read_wav(wav)
+    usable = len(buf) // bands * bands
+    buf = AudioBuffer(buf.samples[:usable], buf.sample_rate_hz)
+    tensor = mdct_forward_fast(buf, bands)
+    partition = psycho.bark_partition(buf.sample_rate_hz, bands)
+    step = psycho.noise_step(tensor, partition)
+    noisy = psycho.psychoacoustic_noise(tensor, scale=noise, rng_seed=seed,
+                                        partition=partition, step=step)
+    added = noisy.amplitudes - tensor.amplitudes
+    allowance = step / 2.0
+    pool = partition.pooling_matrix()
+    bins_per_band = pool.sum(axis=0)
+    mean_power = np.moveaxis(added * added, 2, 0).mean(axis=(0, 1)) @ pool
+    mean_power /= np.maximum(bins_per_band, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = np.where(allowance > 0, (added / allowance) ** 2, 0.0)
+    ratio = (
+        np.moveaxis(normalized, 2, 0).mean(axis=(0, 1)) @ pool
+    ) / np.maximum(bins_per_band, 1)
+    write_wav(mdct_inverse(noisy), out_wav)
+    lines = ["band     mid_hz   mean_noise_power   noise/threshold ratio"]
+    for j in range(partition.band_count):
+        flag = "  AUDIBLE" if ratio[j] > 2.0 else ""
+        lines.append(f"{j:4d} {partition.band_mid_hz[j]:10.1f}   "
+                     f"{mean_power[j]:.6e}   {ratio[j]:12.4f}{flag}")
+    return "\n".join(lines) + "\n"
+
+
+def check_chunked_roundtrip(tmp, chunk_blocks, blocks, channels, noise, seed,
+                            bands=16, extra_samples=5):
+    """Run roundtrip in passes of chunk_blocks blocks on a seeded signal of
+    `blocks` blocks (plus a tail it trims) and compare its WAV bytes and band
+    table with the whole-track chain."""
+    rng = np.random.default_rng(seed)
+    samples = 0.3 * rng.standard_normal((blocks * bands + extra_samples, channels))
+    wav = os.path.join(tmp, "in.wav")
+    write_wav(AudioBuffer(samples, FS), wav)
+    chunked, whole = os.path.join(tmp, "chunked.wav"), os.path.join(tmp, "whole.wav")
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "ROUNDTRIP_CHUNK_BLOCKS", chunk_blocks)
+        mp.setenv("OCTAUDIO_VERBOSE", "0")
+        assert main(["roundtrip", wav, chunked, "--noise", str(noise),
+                     "--seed", str(seed), "--bands", str(bands)]) == 0
+    table = whole_track_roundtrip(wav, whole, noise, seed, bands)
+    assert out.getvalue() == table
+    with open(chunked, "rb") as a, open(whole, "rb") as b:
+        assert a.read() == b.read()
+
+
+K = 4   # roundtrip's blocks per pass in the grid below
+
+
+@pytest.mark.parametrize("blocks", [1, 2, K - 1, K, K + 1, 2 * K + 3])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("noise", [0.0, 1.0, 100.0])
+def test_roundtrip_chunk_boundaries_match_whole_track(tmp_path, blocks,
+                                                      channels, noise):
+    check_chunked_roundtrip(str(tmp_path), K, blocks, channels, noise, seed=3)
+
+
+@settings(deadline=None)
+@given(chunk_blocks=st.integers(1, 9), blocks=st.integers(1, 30),
+       channels=st.sampled_from([1, 2]),
+       noise=st.sampled_from([0.0, 1.0, 2.5, 100.0]),
+       seed=st.integers(0, 2 ** 32 - 1), bands=st.sampled_from([8, 16, 32]),
+       extra_samples=st.integers(0, 7))
+def test_chunked_roundtrip_matches_whole_track(chunk_blocks, blocks, channels,
+                                               noise, seed, bands, extra_samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_chunked_roundtrip(tmp, chunk_blocks, blocks, channels, noise,
+                                seed, bands, extra_samples)
+
+
+def test_roundtrip_thresholds_once_per_pass(tmp_path, capsys, monkeypatch):
+    wav = tmp_path / "in.wav"
+    write_tone(wav, seconds=2.0)
+    blocks = int(FS * 2.0) // 128
+    monkeypatch.setattr(cli, "ROUNDTRIP_CHUNK_BLOCKS", 100)
+    calls = []
+    compute_thresholds = psycho.compute_thresholds
+    monkeypatch.setattr(psycho, "compute_thresholds",
+                        lambda *a: calls.append(a) or compute_thresholds(*a))
+    assert main(["roundtrip", str(wav), str(tmp_path / "o.wav")]) == 0
+    # each pass's noise and band report share one threshold computation
+    assert len(calls) == math.ceil(blocks / 100) == 4
+
+
+def roundtrip_peak_bytes(tmp_path, seconds):
+    """tracemalloc peak of one roundtrip of a seeded stereo WAV."""
+    rng = np.random.default_rng(0)
+    wav, out_wav = tmp_path / f"in{seconds}.wav", tmp_path / f"out{seconds}.wav"
+    write_wav(AudioBuffer(0.1 * rng.standard_normal((FS * seconds, 2)), FS), wav)
+    tracemalloc.start()
+    try:
+        assert main(["roundtrip", str(wav), str(out_wav)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_roundtrip_peak_grows_with_input_and_output_only(tmp_path, capsys):
+    # the (T, C) float64 input and output grow with the track (2x its growth
+    # in bytes, 2.25x while read_wav converts); nothing else should
+    growth = roundtrip_peak_bytes(tmp_path, 40) - roundtrip_peak_bytes(tmp_path, 10)
+    input_growth = FS * (40 - 10) * 2 * 8
+    assert growth <= 3 * input_growth, growth / input_growth
 
 
 def test_reduce_level0_matches_analyze(tmp_path):
