@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from .errors import IoError, ParseError, UnsupportedFormat
 
@@ -73,7 +72,8 @@ def read_wav(path):
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            # chunk bodies are views into the one read buffer, not copies
+            blob = memoryview(fh.read())
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
@@ -84,7 +84,7 @@ def read_wav(path):
     data = None
     pos = 12
     while pos + 8 <= len(blob):
-        chunk_id = blob[pos:pos + 4]
+        chunk_id = bytes(blob[pos:pos + 4])
         (chunk_size,) = struct.unpack_from("<I", blob, pos + 4)
         body = blob[pos + 8:pos + 8 + chunk_size]
         if len(body) < chunk_size:
@@ -184,6 +184,9 @@ def resample(buf, target_rate_hz):
         raise ValueError("target_rate_hz must be positive")
     if target_rate_hz == buf.sample_rate_hz:
         return AudioBuffer(buf.samples.copy(), buf.sample_rate_hz)
+
+    # scipy.signal takes about a second to import, so only a resample pays it
+    from scipy.signal import resample_poly
 
     g = gcd(buf.sample_rate_hz, target_rate_hz)
     up = target_rate_hz // g

@@ -294,20 +294,31 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _write_sample(z, params, cfg, sample_rate, path):
+    """Generate from one (1, latent_dim) latent, invert and write to path.
+    No array outlives the call."""
+    with ad.no_grad():
+        amplitudes = generator(ad.constant(z), params, cfg).data[0]
+    audio_io.write_wav(mdct_inverse(MdctTensor(amplitudes, sample_rate)), path)
+
+
 def cmd_sample(args):
+    """Draw, generate, invert and write one sample at a time.
+
+    Sampling memory does not grow with --count: nothing is held from one
+    sample to the next. Sample i's latent is row i of the batch draw
+    rng.standard_normal((count, latent_dim)), drawn as its own row.
+    """
     params, cfg, iteration, extra = load_checkpoint(args.checkpoint)
     sample_rate = extra.get("sample_rate_hz", args.sample_rate)
     rng = np.random.default_rng(args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    started = time.time()
-    z = rng.standard_normal((args.count, cfg.latent_dim))
-    with ad.no_grad():
-        batch = generator(ad.constant(z), params, cfg).data
+    started = time.perf_counter()
     for i in range(args.count):
-        tensor = MdctTensor(batch[i], sample_rate)
-        buf = mdct_inverse(tensor)
-        audio_io.write_wav(buf, os.path.join(args.out_dir, f"sample_{i:03d}.wav"))
-    elapsed = time.time() - started
+        z = rng.standard_normal((1, cfg.latent_dim))
+        _write_sample(z, params, cfg, sample_rate,
+                      os.path.join(args.out_dir, f"sample_{i:03d}.wav"))
+    elapsed = time.perf_counter() - started
     duration = cfg.output_shape[0] * cfg.output_shape[1] / sample_rate
     say(f"wrote {args.count} samples of {duration:.2f}s at {sample_rate} Hz "
         f"(checkpoint iteration {iteration}) in {elapsed:.2f}s wall time")

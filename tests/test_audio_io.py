@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,28 @@ def test_read_garbage_is_parse_error(tmp_path):
     path.write_bytes(b"not a wav at all")
     with pytest.raises(ParseError):
         read_wav(path)
+
+
+def test_read_truncated_chunk_names_it_as_bytes(tmp_path):
+    path = tmp_path / "t.wav"
+    path.write_bytes(make_wav_bytes([1, 2, 3, 4])[:-2])
+    with pytest.raises(ParseError, match=r"truncated b'data' chunk"):
+        read_wav(path)
+
+
+def test_read_peak_is_file_plus_float64_samples(tmp_path):
+    # the file's bytes plus the float64 samples (4x a 16-bit file) is 5x;
+    # a bytes copy of the data chunk would make it 6x
+    rng = np.random.default_rng(0)
+    path = tmp_path / "t.wav"
+    write_wav(AudioBuffer(0.1 * rng.standard_normal((22016 * 10, 2)), 22016), path)
+    tracemalloc.start()
+    try:
+        read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.25 * os.path.getsize(path), peak / os.path.getsize(path)
 
 
 def test_write_zero_roundtrip(tmp_path):

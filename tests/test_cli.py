@@ -3,7 +3,10 @@ import csv
 import io
 import math
 import os
+import pathlib
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -17,11 +20,14 @@ from octaudio.audio_io import AudioBuffer, read_wav, write_wav
 from octaudio.cli import main
 from octaudio.config import load_config
 from octaudio.errors import ConfigError
-from octaudio.mdct import mdct_forward_fast, mdct_inverse
+from octaudio.mdct import MdctTensor, mdct_forward_fast, mdct_inverse
+from octaudio.nn import autodiff as ad
 from octaudio.nn.model import (
     ModelConfig,
+    generator,
     generator_param_shapes,
     init_params,
+    load_checkpoint,
     save_checkpoint,
 )
 
@@ -396,10 +402,12 @@ def test_train_and_sample_end_to_end(tmp_path, capsys):
     assert len(buf) == 8 * 8      # blocks x bands of the toy model
 
 
-def write_toy_checkpoint(path, drop=()):
-    cfg = ModelConfig(latent_dim=6, num_blocks=1, seed_blocks=2, seed_bands=4,
-                      channels=(4, 3), output_channels=1)
-    params = init_params(generator_param_shapes(cfg), np.random.default_rng(0))
+def write_toy_checkpoint(path, drop=(), seed=0, channels=(4, 3),
+                         output_channels=1):
+    cfg = ModelConfig(latent_dim=6, num_blocks=len(channels) - 1, seed_blocks=2,
+                      seed_bands=4, channels=channels,
+                      output_channels=output_channels)
+    params = init_params(generator_param_shapes(cfg), np.random.default_rng(seed))
     params = {k: v for k, v in params.items() if k not in drop}
     save_checkpoint(path, params, cfg, extra={"sample_rate_hz": 2048})
     return path.read_bytes()
@@ -595,3 +603,95 @@ def test_sample_checkpoint_bad_sample_rate_exit_2(tmp_path, capsys, rate):
     assert main(["sample", str(checkpoint), str(tmp_path / "s")]) == 2
     assert_input_error(capsys)
     assert not (tmp_path / "s").exists()
+
+
+def batched_sample(checkpoint, out_dir, count, seed):
+    """sample as it ran before it streamed: one generator call on the whole
+    (count, latent_dim) draw, then inverse and write per sample. Returns the
+    generated amplitudes."""
+    params, cfg, _, extra = load_checkpoint(checkpoint)
+    z = np.random.default_rng(seed).standard_normal((count, cfg.latent_dim))
+    with ad.no_grad():
+        batch = generator(ad.constant(z), params, cfg).data
+    os.makedirs(out_dir)
+    for i in range(count):
+        buf = mdct_inverse(MdctTensor(batch[i], extra["sample_rate_hz"]))
+        write_wav(buf, os.path.join(out_dir, f"sample_{i:03d}.wav"))
+    return batch
+
+
+def check_sample_matches_batched(tmp, seed, count, output_channels):
+    """Run sample and compare it with the batched oracle: one generator call
+    per sample, amplitudes within 1e-12 relative and WAV samples within one
+    16-bit step."""
+    checkpoint = pathlib.Path(tmp) / "checkpoint.bin"
+    write_toy_checkpoint(checkpoint, seed=seed, output_channels=output_channels)
+    streamed, batched = os.path.join(tmp, "streamed"), os.path.join(tmp, "batched")
+    batch_sizes, amplitudes = [], []
+
+    def recording_generator(z, params, cfg):
+        batch_sizes.append(z.shape[0])
+        return generator(z, params, cfg)
+
+    def recording_inverse(tensor):
+        amplitudes.append(tensor.amplitudes.copy())
+        return mdct_inverse(tensor)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "generator", recording_generator)
+        mp.setattr(cli, "mdct_inverse", recording_inverse)
+        mp.setenv("OCTAUDIO_VERBOSE", "0")
+        assert main(["sample", str(checkpoint), streamed, "--count", str(count),
+                     "--seed", str(seed)]) == 0
+    expected = batched_sample(checkpoint, batched, count, seed)
+    assert batch_sizes == [1] * count
+    assert len(amplitudes) == count
+    for i in range(count):
+        scale = np.abs(expected[i]).max()
+        assert np.abs(amplitudes[i] - expected[i]).max() <= 1e-12 * scale
+        name = f"sample_{i:03d}.wav"
+        a = read_wav(os.path.join(streamed, name))
+        b = read_wav(os.path.join(batched, name))
+        assert a.sample_rate_hz == b.sample_rate_hz
+        assert a.samples.shape == b.samples.shape
+        assert np.abs(a.samples - b.samples).max() <= 1 / 32768
+    assert sorted(os.listdir(streamed)) == sorted(os.listdir(batched))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 3),
+       output_channels=st.sampled_from([1, 2]))
+def test_sample_matches_batched_generator(seed, count, output_channels):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_sample_matches_batched(tmp, seed, count, output_channels)
+
+
+def sample_peak_bytes(checkpoint, out_dir, count):
+    """tracemalloc peak of one sample run."""
+    tracemalloc.start()
+    try:
+        assert main(["sample", str(checkpoint), str(out_dir),
+                     "--count", str(count)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_peak_does_not_grow_with_count(tmp_path, capsys):
+    checkpoint = tmp_path / "checkpoint.bin"
+    write_toy_checkpoint(checkpoint, channels=(32, 32, 16, 16), output_channels=2)
+    one = sample_peak_bytes(checkpoint, tmp_path / "one", 1)
+    four = sample_peak_bytes(checkpoint, tmp_path / "four", 4)
+    assert four <= 1.25 * one, four / one
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second and 50 MB to import and only
+    # audio_io.resample uses it
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = ("import sys, octaudio, octaudio.cli\n"
+            "assert 'scipy.signal' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
