@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: analyze, roundtrip, reduce, shapes, train, sample.
-Exit codes: 0 success, 1 usage/config error, 2 input parse error,
-3 computation error. All outputs land under the given output directory.
+Exit codes: 0 success, 1 usage/config error, 2 input error (a malformed
+file or a failed file operation), 3 computation error. All outputs land under the given output directory.
 Set OCTAUDIO_VERBOSE=0 to silence informational output (errors still go
 to stderr).
 """
@@ -398,7 +398,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, UnsupportedFormat, IoError, FileNotFoundError) as exc:
+    except (ParseError, UnsupportedFormat, IoError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ShapeError, DivergenceError, ValueError) as exc:

@@ -99,6 +99,8 @@ class AppConfig:
             raise ConfigError("[train] checkpoint_every must be >= 0")
         if self.data_source not in ("tones", "wavs"):
             raise ConfigError(f"unknown data source {self.data_source!r}")
+        if self.data_source == "wavs" and not self.data_path:
+            raise ConfigError("[data] source = wavs needs a path")
 
 
 def _convert(section, key, kind, raw):

@@ -324,7 +324,7 @@ def load_checkpoint(path):
         raise ParseError(f"{path}: checkpoint metadata has no model entry")
     extra = meta.get("extra", {})
     iteration = meta.get("iteration", 0)
-    if not isinstance(extra, dict) or not isinstance(iteration, int):
+    if not isinstance(extra, dict) or type(iteration) is not int or iteration < 0:
         raise ParseError(f"{path}: checkpoint iteration or extra is malformed")
     rate = extra.get("sample_rate_hz", 1)
     if type(rate) is not int or not 1 <= rate <= MAX_SAMPLE_RATE_HZ:

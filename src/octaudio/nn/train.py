@@ -7,13 +7,17 @@ the generator. The critic loss is
     + drift_epsilon * E[D(real)^2]
 
 with xhat drawn uniformly on the chord between (noisy) real and fake
-samples, and the generator loss is -E[D(fake)]. Real and fake batches both
-receive gaussian noise scaled by the psychoacoustic quantization step of
-their own spectra before entering the critic; the noise std is treated as
-constant by backpropagation.
+samples, and the generator loss is -E[D(fake)]. train() adds the noise, and
+only train(): each batch the critic sees, real or fake, in the critic and the
+generator step, first receives gaussian noise scaled by the psychoacoustic
+quantization step of its own spectra. The noise std is treated as constant
+by backpropagation; noise_scale = 0 adds none and draws none.
 
 Everything is driven by a single seeded generator, so a rerun with the same
-seed reproduces losses, CSV and checkpoints bit for bit.
+seed reproduces losses, CSV and checkpoints bit for bit. Per iteration it
+draws the batch picks, z, the real noise, the fake noise and the
+interpolation weights u; an iteration that also updates the generator then
+draws z2 and the noise of the generator's fake.
 """
 
 import csv
@@ -110,29 +114,19 @@ def quantization_noise_sigma(batch, partition, alpha, db_reference):
     return 0.5 * noise_step(batch, partition, alpha, db_reference)
 
 
-def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng,
-                   noise_fn=None):
+def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng):
     """Critic loss plus scalar diagnostics.
 
-    real is a (B, M, N, C) array; fake is a Tensor or array (train() makes
-    it under no_grad). The generator's loss is generator_loss.
-    noise_fn(batch_array, rng) -> additive noise applied to both sides.
+    real is a (B, M, N, C) array and fake a Tensor of the same shape, both
+    already noised. The only draw from rng is xhat's interpolation weights.
     """
-    fake = fake if isinstance(fake, ad.Tensor) else ad.constant(fake)
     if tuple(real.shape) != tuple(fake.shape):
         raise ShapeError(f"real {real.shape} and fake {fake.shape} differ")
-    if noise_fn is not None:
-        real_in = ad.constant(real + noise_fn(real, rng))
-        fake_in = ad.add(fake, ad.constant(noise_fn(fake.data, rng)))
-    else:
-        real_in = ad.constant(real)
-        fake_in = fake
-
-    d_real = discriminator_fn(real_in)
-    d_fake = discriminator_fn(fake_in)
+    d_real = discriminator_fn(ad.constant(real))
+    d_fake = discriminator_fn(fake)
 
     u = rng.uniform(size=(real.shape[0], 1, 1, 1))
-    xhat = ad.Tensor(u * real_in.data + (1.0 - u) * fake_in.data, requires_grad=True)
+    xhat = ad.Tensor(u * real + (1.0 - u) * fake.data, requires_grad=True)
     (grad_x,) = ad.grad(
         ad.sum_along(discriminator_fn(xhat)), [xhat], create_graph=True
     )
@@ -153,21 +147,9 @@ def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng,
     }
 
 
-def generator_loss(fake, discriminator_fn, rng, noise_fn=None):
-    """-mean D(fake + noise(fake)): the generator loss.
-
-    fake is a Tensor attached to the generator. rng advances exactly as in
-    wgan_gp_losses (the real-batch noise draw, the fake noise, then the
-    interpolation weights), so the generator and critic steps draw from one
-    stream in the same order. noise_fn must draw one
-    standard_normal(batch.shape), as train()'s does.
-    """
-    if noise_fn is not None:
-        rng.standard_normal(fake.shape)     # stands in for the real noise
-        fake = ad.add(fake, ad.constant(noise_fn(fake.data, rng)))
-    loss_g = ad.neg(ad.mean(discriminator_fn(fake)))
-    rng.uniform(size=(fake.shape[0], 1, 1, 1))  # stands in for xhat's u
-    return loss_g
+def generator_loss(fake, discriminator_fn):
+    """-mean D(fake): the generator loss; fake is attached to the generator."""
+    return ad.neg(ad.mean(discriminator_fn(fake)))
 
 
 @dataclass
@@ -214,15 +196,13 @@ def train(dataset, model_cfg, train_cfg, out_dir, checkpoint_every=0,
                   train_cfg.adam_beta2)
 
     partition = bark_partition(sample_rate, expected[1])
-    if train_cfg.noise_scale > 0:
-        def noise_fn(batch, noise_rng):
-            sigma = quantization_noise_sigma(
-                batch, partition, train_cfg.alpha, train_cfg.db_reference)
-            return noise_rng.standard_normal(batch.shape) * (
-                train_cfg.noise_scale * sigma
-            )
-    else:
-        noise_fn = None
+
+    def noise(batch):
+        if train_cfg.noise_scale == 0:
+            return 0.0
+        sigma = quantization_noise_sigma(
+            batch, partition, train_cfg.alpha, train_cfg.db_reference)
+        return rng.standard_normal(batch.shape) * (train_cfg.noise_scale * sigma)
 
     def d_fn(x):
         return discriminator(x, d_params, model_cfg)
@@ -246,8 +226,8 @@ def train(dataset, model_cfg, train_cfg, out_dir, checkpoint_every=0,
                 fake = generator(ad.constant(z), g_params, model_cfg)
 
             loss_d, stats = wgan_gp_losses(
-                real, fake, d_fn, train_cfg.gp_lambda,
-                train_cfg.drift_epsilon, rng, noise_fn,
+                real + noise(real), ad.add(fake, ad.constant(noise(fake.data))),
+                d_fn, train_cfg.gp_lambda, train_cfg.drift_epsilon, rng,
             )
             d_grads = ad.grad(loss_d, [d_params[k] for k in d_names])
             adam_d.step(d_params, dict(zip(d_names, (g.data for g in d_grads))))
@@ -257,7 +237,8 @@ def train(dataset, model_cfg, train_cfg, out_dir, checkpoint_every=0,
                     (train_cfg.batch_size, model_cfg.latent_dim)
                 )
                 fake_g = generator(ad.constant(z2), g_params, model_cfg)
-                loss_g = generator_loss(fake_g, d_fn, rng, noise_fn)
+                fake_g = ad.add(fake_g, ad.constant(noise(fake_g.data)))
+                loss_g = generator_loss(fake_g, d_fn)
                 g_grads = ad.grad(loss_g, [g_params[k] for k in g_names])
                 adam_g.step(g_params, dict(zip(g_names, (g.data for g in g_grads))))
                 loss_g_value = float(loss_g.data)

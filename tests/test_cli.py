@@ -477,6 +477,41 @@ def test_train_missing_config_exit_1(tmp_path):
     assert main(["train", str(tmp_path / "none.ini")]) == 1
 
 
+def test_config_wavs_source_needs_path(tmp_path, capsys):
+    config = tmp_path / "c.ini"
+    write_toy_config(config)
+    config.write_text(config.read_text().replace("source = tones", "source = wavs"))
+    with pytest.raises(ConfigError, match="path"):
+        load_config(config)
+    assert main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "{dir}", "{out}"],                       # IsADirectoryError
+    ["analyze", "{wav}", "{file}"],                     # FileExistsError
+    ["reduce", "{wav}", "{file}"],
+    ["sample", "{checkpoint}", "{file}"],
+    ["train", "{config}", "--out-dir", "{file}"],
+    ["analyze", "{wav}", "{file}/sub"],                 # NotADirectoryError
+    ["train", "{wavs_config}", "--out-dir", "{out}"],
+], ids=["sample-dir", "analyze-file", "reduce-file", "sample-file",
+        "train-file", "analyze-under-file", "train-wavs-file"])
+def test_os_error_is_input_error_exit_2(tmp_path, capsys, argv):
+    names = {key: tmp_path / key for key in
+             ("dir", "out", "file", "wav", "checkpoint", "config", "wavs_config")}
+    names["dir"].mkdir()
+    names["file"].write_bytes(b"taken")
+    write_tone(names["wav"], seconds=0.1)
+    write_toy_checkpoint(names["checkpoint"])
+    write_toy_config(names["config"])
+    names["wavs_config"].write_text(names["config"].read_text().replace(
+        "source = tones", f"source = wavs\npath = {names['file']}"))
+    assert main([arg.format(**names) for arg in argv]) == 2
+    assert_input_error(capsys)
+
+
 def test_config_parses_typed_values(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("""

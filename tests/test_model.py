@@ -229,6 +229,15 @@ def test_checkpoint_bad_sample_rate_is_parse_error(tmp_path, rate):
         load_checkpoint(tmp_path / "ck.bin")
 
 
+@pytest.mark.parametrize("iteration", [True, False, -1, 1.5, "3"])
+def test_checkpoint_bad_iteration_is_parse_error(tmp_path, iteration):
+    cfg = tiny_cfg()
+    params = init_params(generator_param_shapes(cfg), np.random.default_rng(8))
+    save_checkpoint(tmp_path / "ck.bin", params, cfg, iteration=iteration)
+    with pytest.raises(ParseError, match="iteration"):
+        load_checkpoint(tmp_path / "ck.bin")
+
+
 def test_checkpoint_sample_rate_limits_load(tmp_path):
     cfg = tiny_cfg()
     params = init_params(generator_param_shapes(cfg), np.random.default_rng(8))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octaudio.datasets import synthetic_tone_dataset
 from octaudio.errors import ConfigError, DivergenceError, ShapeError
@@ -37,8 +39,7 @@ def test_linear_critic_penalty_closed_form():
         real, ad.constant(fake), sum_critic, gp_lambda=10.0,
         drift_epsilon=0.0, rng=np.random.default_rng(1),
     )
-    loss_g = generator_loss(ad.constant(fake), sum_critic,
-                            np.random.default_rng(1))
+    loss_g = generator_loss(ad.constant(fake), sum_critic)
     n_elements = 4 * 4 * 2
     expected_penalty = (np.sqrt(n_elements) - 1.0) ** 2
     assert stats["penalty"] == pytest.approx(expected_penalty, rel=1e-12)
@@ -49,6 +50,80 @@ def test_linear_critic_penalty_closed_form():
     assert float(loss_g.data) == pytest.approx(
         -fake.sum(axis=(1, 2, 3)).mean(), rel=1e-12
     )
+
+
+def noise_fn_critic_loss(real, fake, discriminator_fn, gp_lambda, drift_epsilon,
+                         rng, noise_fn):
+    """Oracle: the critic loss as it ran when it noised both batches itself,
+    through a noise_fn(batch, rng) callback, before drawing u."""
+    real_in = ad.constant(real + noise_fn(real, rng))
+    fake_in = ad.add(fake, ad.constant(noise_fn(fake.data, rng)))
+    d_real = discriminator_fn(real_in)
+    d_fake = discriminator_fn(fake_in)
+    u = rng.uniform(size=(real.shape[0], 1, 1, 1))
+    xhat = ad.Tensor(u * real_in.data + (1.0 - u) * fake_in.data, requires_grad=True)
+    (grad_x,) = ad.grad(
+        ad.sum_along(discriminator_fn(xhat)), [xhat], create_graph=True
+    )
+    norm = ad.power(ad.sum_along(ad.power(grad_x, 2.0), axis=(1, 2, 3)), 0.5)
+    penalty = ad.mean(ad.power(ad.sub(norm, 1.0), 2.0))
+    wasserstein = float(np.mean(d_real.data) - np.mean(d_fake.data))
+    loss_d = ad.add(
+        ad.sub(ad.mean(d_fake), ad.mean(d_real)),
+        ad.add(
+            ad.scale(penalty, gp_lambda),
+            ad.scale(ad.mean(ad.power(d_real, 2.0)), drift_epsilon),
+        ),
+    )
+    return loss_d, {"wasserstein": wasserstein, "penalty": float(penalty.data)}
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(2, 3),
+       num_blocks=st.integers(0, 1), seed_blocks=st.integers(1, 2),
+       seed_bands=st.sampled_from([2, 4]), output_channels=st.sampled_from([1, 2]),
+       scale=st.floats(0.01, 10.0))
+def test_critic_step_matches_noise_fn_oracle(seed, batch, num_blocks, seed_blocks,
+                                             seed_bands, output_channels, scale):
+    # train()'s critic step, noising real then fake before wgan_gp_losses,
+    # is bit for bit the critic loss that drew the noise itself
+    cfg = ModelConfig(latent_dim=4, num_blocks=num_blocks, seed_blocks=seed_blocks,
+                      seed_bands=seed_bands, channels=(3, 2)[:num_blocks + 1],
+                      output_channels=output_channels)
+    rng = np.random.default_rng(seed)
+    d_params = init_params(discriminator_param_shapes(cfg), rng)
+    real = 0.1 * rng.standard_normal((batch, *cfg.output_shape))
+    fake = ad.constant(0.1 * rng.standard_normal(real.shape))
+    partition = bark_partition(2048, cfg.output_shape[1])
+
+    def sigma(x):
+        return scale * quantization_noise_sigma(x, partition, 0.3, 96.0)
+
+    def critic(x):
+        return discriminator(x, d_params, cfg)
+
+    names = sorted(d_params)
+    results = []
+    for moved in (False, True):
+        rng = np.random.default_rng(seed + 1)
+        if moved:
+            def noise(x):
+                return rng.standard_normal(x.shape) * sigma(x)
+
+            loss_d, stats = wgan_gp_losses(
+                real + noise(real), ad.add(fake, ad.constant(noise(fake.data))),
+                critic, 10.0, 0.001, rng,
+            )
+        else:
+            loss_d, stats = noise_fn_critic_loss(
+                real, fake, critic, 10.0, 0.001, rng,
+                lambda x, noise_rng: noise_rng.standard_normal(x.shape) * sigma(x),
+            )
+        grads = ad.grad(loss_d, [d_params[k] for k in names])
+        results.append((loss_d.data.tobytes(), stats,
+                        [g.data.tobytes() for g in grads],
+                        rng.bit_generator.state))
+    assert results[0] == results[1]
 
 
 def test_drift_term_zero_for_zero_critic():
@@ -206,71 +281,90 @@ def test_freeze_blocks_keeps_block_parameters_fixed(tmp_path):
     )
 
 
-def test_noise_applied_to_both_real_and_fake():
-    rng = np.random.default_rng(4)
-    real = rng.standard_normal((2, 4, 4, 1))
-    fake = rng.standard_normal((2, 4, 4, 1))
-    seen = []
+class RecordingRng:
+    """A numpy Generator that logs each draw as (method, shape of the draw)."""
 
-    def noise_fn(batch, noise_rng):
-        seen.append(batch.copy())
-        return np.full_like(batch, 0.5)
+    def __init__(self, rng, log):
+        self._rng = rng
+        self._log = log
 
-    loss_d, _ = wgan_gp_losses(
-        real, ad.constant(fake), sum_critic, gp_lambda=0.0,
-        drift_epsilon=0.0, rng=np.random.default_rng(5), noise_fn=noise_fn,
-    )
-    assert len(seen) == 2
-    np.testing.assert_array_equal(seen[0], real)
-    np.testing.assert_array_equal(seen[1], fake)
-    # a constant offset on both sides cancels in the linear difference
-    expected = fake.sum(axis=(1, 2, 3)).mean() - real.sum(axis=(1, 2, 3)).mean()
-    assert float(loss_d.data) == pytest.approx(expected, rel=1e-12)
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._log.append((name, np.shape(out)))
+            return out
+        return draw
 
 
-def old_generator_term(real, fake, discriminator_fn, rng, noise_fn):
-    """Oracle: the generator term the critic loss once also returned,
-    -mean D(fake + noise), drawing from rng in the critic's order: the
-    real-batch noise, the fake noise, then the interpolation weights u."""
-    if noise_fn is not None:
-        noise_fn(real, rng)        # the real batch's noise; D(real) is unused
-        fake = ad.add(fake, ad.constant(noise_fn(fake.data, rng)))
-    loss_g = ad.neg(ad.mean(discriminator_fn(fake)))
-    rng.uniform(size=(real.shape[0], 1, 1, 1))
-    return loss_g
+def test_noise_applied_to_both_real_and_fake(tmp_path, monkeypatch):
+    import octaudio.nn.train as train_module
 
-
-@pytest.mark.parametrize("noise", [False, True])
-def test_generator_loss_is_the_old_generator_term(noise):
     data, cfg, _ = toy_setup()
-    init_rng = np.random.default_rng(2)
-    g_params = init_params(generator_param_shapes(cfg), init_rng)
-    d_params = init_params(discriminator_param_shapes(cfg), init_rng)
-    real = np.stack([t.amplitudes for t in data[:2]])
-    z = init_rng.standard_normal((2, cfg.latent_dim))
-    partition = bark_partition(2048, 8)
+    shape = (2, *cfg.output_shape)
+    default_rng = np.random.default_rng
+    runs = {}
+    for scale in (0.0, 1.0):
+        run = runs[scale] = {"sigma": [], "generated": [], "critic": [],
+                             "draws": []}
 
-    def noise_fn(batch, noise_rng):
-        sigma = quantization_noise_sigma(batch, partition, 0.3, 96.0)
-        return noise_rng.standard_normal(batch.shape) * sigma
+        def recorded(key, fn, pick, run=run):
+            def wrapper(*args):
+                out = fn(*args)
+                run[key].append(np.array(pick(args, out)))
+                return out
+            return wrapper
 
-    def d_fn(x):
-        return discriminator(x, d_params, cfg)
+        monkeypatch.setattr(train_module, "quantization_noise_sigma", recorded(
+            "sigma", quantization_noise_sigma, lambda args, out: args[0]))
+        monkeypatch.setattr(train_module, "generator", recorded(
+            "generated", generator, lambda args, out: out.data))
+        monkeypatch.setattr(train_module, "discriminator", recorded(
+            "critic", discriminator, lambda args, out: args[0].data))
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed, run=run: RecordingRng(default_rng(seed),
+                                                               run["draws"]))
+        tcfg = TrainConfig(batch_size=2, iterations=2, rng_seed=1, n_critic=2,
+                           noise_scale=scale)
+        train(data, cfg, tcfg, tmp_path / str(scale))
 
-    names = sorted(g_params)
-    results = []
-    for lean in (False, True):
-        rng = np.random.default_rng(7)
-        fake = generator(ad.constant(z), g_params, cfg)
-        if lean:
-            loss_g = generator_loss(fake, d_fn, rng, noise_fn if noise else None)
-        else:
-            loss_g = old_generator_term(real, fake, d_fn, rng,
-                                        noise_fn if noise else None)
-        grads = ad.grad(loss_g, [g_params[k] for k in names])
-        results.append((loss_g.data.tobytes(), [g.data.tobytes() for g in grads],
-                        rng.standard_normal(3).tobytes()))
-    assert results[0] == results[1]
+    def iteration(noise, generator_step):
+        draws = [("integers", (2,)), ("standard_normal", (2, cfg.latent_dim))]
+        draws += [("standard_normal", shape)] * 2 * noise
+        draws += [("uniform", (2, 1, 1, 1))]
+        if generator_step:
+            draws += [("standard_normal", (2, cfg.latent_dim))]
+            draws += [("standard_normal", shape)] * noise
+        return draws
+
+    # per iteration: picks, z, real noise, fake noise, u; a generator
+    # iteration then draws z2 and the noise of the generator's fake
+    quiet, noisy = runs[0.0], runs[1.0]
+    init = []
+    for run, noise in ((quiet, 0), (noisy, 1)):
+        loop = iteration(noise, False) + iteration(noise, True)
+        assert run["draws"][-len(loop):] == loop
+        init.append(run["draws"][:-len(loop)])
+    assert init[0] == init[1]
+
+    assert quiet["sigma"] == []
+    real_1, fake_1, real_2, fake_2, fake_g = noisy["sigma"]
+    samples = [t.amplitudes for t in data]
+    for row in (*real_1, *real_2):
+        assert any(np.array_equal(row, s) for s in samples)
+    for batch, made in zip((fake_1, fake_2, fake_g), noisy["generated"]):
+        np.testing.assert_array_equal(batch, made)
+    # the critic sees D(real), D(fake), D(xhat) per critic step, D(fake) for
+    # the critic-only iteration's loss_G log, then the generator's D(fake)
+    critic = noisy["critic"]
+    for seen, batch in ((critic[0], real_1), (critic[1], fake_1),
+                        (critic[4], real_2), (critic[5], fake_2),
+                        (critic[7], fake_g)):
+        assert not np.any(seen == batch)
+    np.testing.assert_array_equal(critic[3], fake_1)
+    for i, made in zip((1, 5, 7), quiet["generated"]):
+        np.testing.assert_array_equal(quiet["critic"][i], made)
 
 
 def test_train_step_counts(tmp_path, monkeypatch):
