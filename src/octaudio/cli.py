@@ -140,10 +140,8 @@ def _add_noise_and_report(tensor, partition, rng, args, sums):
     is c^2 at the design point (row 1).
     """
     step = psycho.noise_step(tensor, partition, args.alpha, args.db_reference)
-    noisy = psycho.psychoacoustic_noise(
-        tensor, scale=args.noise, rng_seed=rng, partition=partition,
-        alpha=args.alpha, db_reference=args.db_reference, step=step,
-    )
+    noisy = psycho.psychoacoustic_noise(tensor, scale=args.noise, rng_seed=rng,
+                                        step=step)
     added = noisy.amplitudes - tensor.amplitudes
     allowance = step / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -275,7 +273,6 @@ def _load_dataset(app: AppConfig, rng):
 
 def cmd_train(args):
     app = load_config(args.config)
-    out_dir = args.out_dir or "train_out"
     rng = np.random.default_rng(app.train.rng_seed)
     dataset = _load_dataset(app, rng)
     say(f"training on {len(dataset)} samples of shape {app.model.output_shape}, "
@@ -287,8 +284,7 @@ def cmd_train(args):
         if it % every == 0 or it == app.train.iterations:
             say(f"  iter {it:6d}  loss_D {loss_d:+.4f}  loss_G {loss_g:+.4f}")
 
-    result = train(dataset, app.model, app.train, out_dir,
-                   checkpoint_every=app.checkpoint_every, progress=progress)
+    result = train(dataset, app.model, app.train, args.out_dir, progress=progress)
     say(f"checkpoint: {result.checkpoint_path}")
     say(f"losses:     {result.csv_path}")
     return EXIT_OK
@@ -330,20 +326,22 @@ def build_parser():
                      description="MDCT analysis, psychoacoustics and toy "
                                  "adversarial training for audio")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {      # options of several commands; each names those it reads
+        "--bands": dict(type=_BANDS, default=128,
+                        help="MDCT filter bands (power of two, default 128)"),
+        "--alpha": dict(type=_POSITIVE, default=psycho.DEFAULT_ALPHA),
+        "--db-reference": dict(type=_FINITE, default=psycho.DEFAULT_DB_REFERENCE),
+        "--db-floor": dict(type=_BELOW_ZERO, default=spectral.DEFAULT_DB_FLOOR),
+    }
 
-    def add_common(p):
-        p.add_argument("--bands", type=_BANDS, default=128,
-                       help="MDCT filter bands (power of two, default 128)")
-        p.add_argument("--alpha", type=_POSITIVE, default=psycho.DEFAULT_ALPHA)
-        p.add_argument("--db-reference", type=_FINITE,
-                       default=psycho.DEFAULT_DB_REFERENCE)
-        p.add_argument("--db-floor", type=_BELOW_ZERO,
-                       default=spectral.DEFAULT_DB_FLOOR)
+    def add_shared(p, *names):
+        for name in names:
+            p.add_argument(name, **shared[name])
 
     p = sub.add_parser("analyze", help="spectrograms, tonality and thresholds")
     p.add_argument("wav")
     p.add_argument("out_dir")
-    add_common(p)
+    add_shared(p, "--bands", "--alpha", "--db-reference", "--db-floor")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("roundtrip",
@@ -352,14 +350,14 @@ def build_parser():
     p.add_argument("out_wav")
     p.add_argument("--noise", type=_SCALE, default=1.0, help="noise scale c")
     p.add_argument("--seed", type=_NATURAL, default=0)
-    add_common(p)
+    add_shared(p, "--bands", "--alpha", "--db-reference")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("reduce", help="octave-folded reduced spectrograms")
     p.add_argument("wav")
     p.add_argument("out_dir")
     p.add_argument("--folds", type=_NATURAL, default=2)
-    add_common(p)
+    add_shared(p, "--bands", "--db-floor")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("shapes", help="model activation shapes and parameter counts")
@@ -373,7 +371,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train the toy adversarial model")
     p.add_argument("config")
-    p.add_argument("--out-dir", default=None)
+    p.add_argument("--out-dir", default="train_out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="draw WAV samples from a checkpoint")

@@ -89,14 +89,11 @@ class AppConfig:
     data_source: str = "tones"
     data_count: int = 64
     data_path: str = ""
-    checkpoint_every: int = 0
 
     def __post_init__(self):
         if not 1 <= self.sample_rate_hz <= MAX_SAMPLE_RATE_HZ:
             raise ConfigError(
                 f"sample_rate_hz must lie in 1..{MAX_SAMPLE_RATE_HZ}")
-        if self.checkpoint_every < 0:
-            raise ConfigError("[train] checkpoint_every must be >= 0")
         if self.data_source not in ("tones", "wavs"):
             raise ConfigError(f"unknown data source {self.data_source!r}")
         if self.data_source == "wavs" and not self.data_path:
@@ -152,7 +149,6 @@ def load_config(path):
 
     rename = {"beta1": "adam_beta1", "beta2": "adam_beta2", "seed": "rng_seed"}
     train_kwargs = {rename.get(k, k): v for k, v in train_raw.items()}
-    checkpoint_every = train_kwargs.pop("checkpoint_every", 0)
     for key in ("alpha", "db_reference"):    # [audio] keys of the noise layer
         if key in audio:
             train_kwargs[key] = audio.pop(key)
@@ -173,7 +169,6 @@ def load_config(path):
     return AppConfig(
         model=model_cfg,
         train=train_cfg,
-        checkpoint_every=checkpoint_every,
         **audio,
         **{f"data_{k}": v for k, v in data.items()},
     )

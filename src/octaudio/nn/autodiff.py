@@ -126,14 +126,9 @@ def sub(a, b):
         (a, b),
         (
             lambda g, s=a.shape: _unbroadcast(g, s),
-            lambda g, s=b.shape: _unbroadcast(neg(g), s),
+            lambda g, s=b.shape: _unbroadcast(scale(g, -1.0), s),
         ),
     )
-
-
-def neg(a):
-    a = _as_tensor(a)
-    return Tensor(-a.data, (a,), (lambda g: neg(g),))
 
 
 def mul(a, b):
@@ -164,6 +159,21 @@ def power(a, exponent):
         (a,),
         (lambda g: mul(g, scale(power(a, exponent - 1.0), exponent)),),
     )
+
+
+def sqrt(a):
+    """a**0.5 of a >= 0: power(a, 0.5) where a > 0, at every order of
+    differentiation, but every slope is 0 where a == 0, not infinite."""
+    return _power_of_positive(_as_tensor(a), 0.5)
+
+
+def _power_of_positive(a, exponent):
+    """a**p where a > 0, else 0; its slope p * a**(p - 1) likewise."""
+    positive = a.data > 0
+    data = np.where(positive, a.data, 1.0) ** exponent
+    data[~positive] = 0.0
+    return Tensor(data, (a,), (
+        lambda g: mul(g, scale(_power_of_positive(a, exponent - 1.0), exponent)),))
 
 
 def leaky_relu(a, slope=0.2):
@@ -349,16 +359,15 @@ def slice_axis(a, axis, start, stop):
 
 def pad_axis(a, axis, before, after):
     a = _as_tensor(a)
-    length = a.shape[axis]
     if before == 0 and after == 0:
-        data = a.data
-    else:
-        shape = list(a.shape)
-        shape[axis] += before + after
-        data = np.zeros(shape)
-        index = [slice(None)] * a.ndim
-        index[axis] = slice(before, before + length)
-        data[tuple(index)] = a.data
+        return a
+    length = a.shape[axis]
+    shape = list(a.shape)
+    shape[axis] += before + after
+    data = np.zeros(shape)
+    index = [slice(None)] * a.ndim
+    index[axis] = slice(before, before + length)
+    data[tuple(index)] = a.data
 
     def backward(g):
         return slice_axis(g, axis, before, before + length)

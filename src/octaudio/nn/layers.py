@@ -146,12 +146,12 @@ def minibatch_stddev(x):
     """Append one channel holding the batch-averaged per-element stddev.
 
     The appended channel is a single scalar broadcast over the tensor, and is
-    exactly zero for a batch of identical samples.
+    exactly zero, with finite gradients (ad.sqrt), for identical samples.
     """
     batch = x.shape[0]
     mu = ad.mean(x, axis=0, keepdims=True)
     var = ad.mean(ad.power(ad.sub(x, mu), 2.0), axis=0, keepdims=True)
-    stddev = ad.power(var, 0.5)
+    stddev = ad.sqrt(var)
     pooled = ad.mean(stddev)
     channel = ad.broadcast_to(
         ad.reshape(pooled, (1, 1, 1, 1)), (batch, x.shape[1], x.shape[2], 1)

@@ -58,6 +58,7 @@ class TrainConfig:
     noise_scale: float = 1.0
     rng_seed: int = 0
     iterations: int = 1000
+    checkpoint_every: int = 0
     alpha: float = DEFAULT_ALPHA
     db_reference: float = DEFAULT_DB_REFERENCE
     freeze_blocks: tuple = ()
@@ -74,8 +75,9 @@ class TrainConfig:
         infinite = [k for k in finite if not math.isfinite(getattr(self, k))]
         if infinite:
             raise ConfigError(f"{', '.join(infinite)} must be finite")
-        if self.gp_lambda < 0 or self.drift_epsilon < 0 or self.noise_scale < 0:
-            raise ConfigError("gp_lambda, drift_epsilon, noise_scale must be >= 0")
+        nonnegative = ("gp_lambda", "drift_epsilon", "noise_scale", "checkpoint_every")
+        if any(getattr(self, k) < 0 for k in nonnegative):
+            raise ConfigError(f"{', '.join(nonnegative)} must be >= 0")
         if self.alpha <= 0:
             raise ConfigError("alpha must be positive")
         self.freeze_blocks = tuple(int(b) for b in self.freeze_blocks)
@@ -115,7 +117,7 @@ def quantization_noise_sigma(batch, partition, alpha, db_reference):
 
 
 def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng):
-    """Critic loss plus scalar diagnostics.
+    """Critic loss plus scalar diagnostics: wasserstein, penalty, d_fake.
 
     real is a (B, M, N, C) array and fake a Tensor of the same shape, both
     already noised. The only draw from rng is xhat's interpolation weights.
@@ -144,12 +146,13 @@ def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng):
     return loss_d, {
         "wasserstein": wasserstein,
         "penalty": float(penalty.data),
+        "d_fake": float(np.mean(d_fake.data)),     # mean D(fake)
     }
 
 
 def generator_loss(fake, discriminator_fn):
     """-mean D(fake): the generator loss; fake is attached to the generator."""
-    return ad.neg(ad.mean(discriminator_fn(fake)))
+    return ad.scale(ad.mean(discriminator_fn(fake)), -1.0)
 
 
 @dataclass
@@ -160,8 +163,7 @@ class TrainResult:
     gen_tonality: np.ndarray
 
 
-def train(dataset, model_cfg, train_cfg, out_dir, checkpoint_every=0,
-          progress=None):
+def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
     """Train on a list of MdctTensor samples; returns paths and histories.
 
     Raises DivergenceError (with the iteration index) if a loss goes
@@ -243,9 +245,7 @@ def train(dataset, model_cfg, train_cfg, out_dir, checkpoint_every=0,
                 adam_g.step(g_params, dict(zip(g_names, (g.data for g in g_grads))))
                 loss_g_value = float(loss_g.data)
             else:
-                # critic-only iteration: log -mean D(fake) for the updated critic
-                with ad.no_grad():
-                    loss_g_value = -float(np.mean(d_fn(fake).data))
+                loss_g_value = -stats["d_fake"]    # of the critic step's fake
 
             gen_tau = float(np.mean(tonality(np.moveaxis(fake.data, 3, 1))))
             if not (np.isfinite(loss_d.data) and np.isfinite(loss_g_value)):
@@ -260,7 +260,7 @@ def train(dataset, model_cfg, train_cfg, out_dir, checkpoint_every=0,
                 f"{stats['wasserstein']:.17g}",
                 f"{gen_tau:.17g}",
             ])
-            if checkpoint_every and it % checkpoint_every == 0:
+            if train_cfg.checkpoint_every and it % train_cfg.checkpoint_every == 0:
                 save_checkpoint(
                     os.path.join(out_dir, f"checkpoint_{it:06d}.bin"),
                     {**g_params, **d_params}, model_cfg, it,

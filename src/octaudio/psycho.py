@@ -45,7 +45,6 @@ class BarkPartition:
     band_edges_hz: np.ndarray
     bin_to_band: np.ndarray
     band_mid_hz: np.ndarray
-    sample_rate_hz: int
 
     @property
     def band_count(self):
@@ -77,7 +76,7 @@ def bark_partition(sample_rate_hz, band_count):
     bin_to_band = np.searchsorted(edges, centers, side="right") - 1
     bin_to_band = np.clip(bin_to_band, 0, len(edges) - 2)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    return BarkPartition(edges, bin_to_band.astype(np.intp), mids, int(sample_rate_hz))
+    return BarkPartition(edges, bin_to_band.astype(np.intp), mids)
 
 
 def absolute_threshold_db(freq_hz):

@@ -21,7 +21,6 @@ class Spectrogram:
     """Squared amplitudes (blocks M, bands N, channels C), all >= 0."""
 
     values: np.ndarray
-    sample_rate_hz: int
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -47,12 +46,11 @@ class ReducedSpectrogram:
     """Original grid plus one channel-summed grid per fold."""
 
     levels: list = field(default_factory=list)
-    fold_count: int = 0
 
 
 def spectrogram(tensor):
     """Per-channel squared amplitudes of an MDCT tensor."""
-    return Spectrogram(tensor.amplitudes ** 2, tensor.sample_rate_hz)
+    return Spectrogram(tensor.amplitudes ** 2)
 
 
 def write_pgm(pixels, path):
@@ -156,7 +154,7 @@ def reduce_spectrogram(spec, folds):
     for _ in range(folds):
         values = fold_frequency(blur_time(values))
         levels.append(values)
-    return ReducedSpectrogram(levels, folds)
+    return ReducedSpectrogram(levels)
 
 
 def tonality_series(tensor):

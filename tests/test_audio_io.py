@@ -181,6 +181,7 @@ sample_values = st.one_of(
 )
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     frames=st.integers(0, 3 * CHUNK_FRAMES + 1),

@@ -69,7 +69,7 @@ def test_scale_neg_power_grads():
     rng = np.random.default_rng(2)
     a = ad.parameter(rng.uniform(0.5, 2.0, (4, 3)))
     assert_grads_match(
-        lambda: ad.sum_along(ad.scale(ad.neg(ad.power(a, 1.5)), 0.7)), [a]
+        lambda: ad.sum_along(ad.scale(ad.power(a, 1.5), -0.7)), [a]
     )
 
 
@@ -77,6 +77,41 @@ def test_sqrt_grads():
     rng = np.random.default_rng(3)
     a = ad.parameter(rng.uniform(0.5, 4.0, (5,)))
     assert_grads_match(lambda: ad.sum_along(ad.power(a, 0.5)), [a])
+    assert_grads_match(lambda: ad.sum_along(ad.sqrt(a)), [a])
+
+
+def second_order(root, a, weights):
+    """root(a), its gradient and the gradient of that gradient, as arrays."""
+    out = root(a)
+    (g,) = ad.grad(ad.sum_along(ad.mul(out, weights)), [a], create_graph=True)
+    (gg,) = ad.grad(ad.sum_along(ad.power(g, 2.0)), [a])
+    return out.data, g.data, gg.data
+
+
+def test_sqrt_is_bitwise_power_half_where_positive():
+    rng = np.random.default_rng(30)
+    weights = rng.standard_normal((4, 5))
+    a = ad.parameter(rng.uniform(1e-6, 3.0, (4, 5)))
+    for got, want in zip(second_order(ad.sqrt, a, weights),
+                         second_order(lambda t: ad.power(t, 0.5), a, weights)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sqrt_slope_is_zero_at_zero():
+    rng = np.random.default_rng(31)
+    weights = rng.standard_normal(6)
+    data = rng.uniform(0.5, 2.0, 6)
+    data[[1, 4]] = 0.0
+    out, g, gg = second_order(ad.sqrt, ad.parameter(data), weights)
+    positive = data > 0
+    _, want_g, want_gg = second_order(
+        lambda t: ad.power(t, 0.5), ad.parameter(data[positive]), weights[positive])
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(gg))
+    np.testing.assert_array_equal(out[~positive], 0.0)
+    np.testing.assert_array_equal(g[~positive], 0.0)
+    np.testing.assert_array_equal(gg[~positive], 0.0)
+    np.testing.assert_array_equal(g[positive], want_g)
+    np.testing.assert_array_equal(gg[positive], want_gg)
 
 
 def test_mean_keepdims_grads():
@@ -155,6 +190,7 @@ def test_unfold_fold_grads():
     )
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     st.integers(1, 3), st.integers(1, 3), st.integers(1, 8), st.integers(1, 4),
@@ -205,6 +241,11 @@ def test_slice_pad_concat_grads():
         return ad.sum_along(ad.power(ad.concat([left, right], 2), 2.0))
 
     assert_grads_match(fn, [a])
+
+
+def test_zero_pad_is_its_input():
+    a = ad.parameter(np.ones((2, 3)))
+    assert ad.pad_axis(a, 1, 0, 0) is a
 
 
 def test_leaky_relu_grads_away_from_kink():
@@ -381,6 +422,7 @@ def test_transposed_conv2d_matches_strided_oracle(kernel, strides, grid):
     )
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     st.integers(1, 2), st.integers(1, 3), st.integers(1, 3),
@@ -444,6 +486,20 @@ def test_minibatch_stddev_grads():
     assert_grads_match(
         lambda: ad.sum_along(ad.power(minibatch_stddev(x), 2.0)), [x]
     )
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_minibatch_stddev_penalty_gradient_finite_at_zero_spread(batch):
+    # batch 1 has zero spread everywhere; at batch 3 one position is constant
+    rng = np.random.default_rng(17)
+    data = rng.standard_normal((batch, 2, 2, 2))
+    data[:, 0, 1, 0] = 0.4
+    x = ad.parameter(data)
+    weights = rng.standard_normal((batch, 2, 2, 3))
+    score = ad.sum_along(ad.mul(minibatch_stddev(x), weights))
+    (gx,) = ad.grad(score, [x], create_graph=True)
+    (gxx,) = ad.grad(ad.sum_along(ad.power(gx, 2.0)), [x])
+    assert np.all(np.isfinite(gx.data)) and np.all(np.isfinite(gxx.data))
 
 
 def test_second_order_through_inner_gradient():

@@ -244,6 +244,7 @@ def test_roundtrip_chunk_boundaries_match_whole_track(tmp_path, blocks,
     check_chunked_roundtrip(str(tmp_path), K, blocks, channels, noise, seed=3)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(chunk_blocks=st.integers(1, 9), blocks=st.integers(1, 30),
        channels=st.sampled_from([1, 2]),
@@ -400,6 +401,36 @@ def test_train_and_sample_end_to_end(tmp_path, capsys):
     buf = read_wav(samples / wavs[0])
     assert buf.sample_rate_hz == 2048
     assert len(buf) == 8 * 8      # blocks x bands of the toy model
+
+
+def test_train_checkpoint_every(tmp_path, capsys):
+    config = tmp_path / "toy.ini"
+    write_toy_config(config, iterations=4)
+    config.write_text(config.read_text().replace(
+        "[train]", "[train]\ncheckpoint_every = 2"))
+    run_dir = tmp_path / "run"
+    assert main(["train", str(config), "--out-dir", str(run_dir)]) == 0
+    assert sorted(p.name for p in run_dir.glob("checkpoint*.bin")) == [
+        "checkpoint.bin", "checkpoint_000002.bin", "checkpoint_000004.bin"]
+    for it in (2, 4):
+        assert load_checkpoint(run_dir / f"checkpoint_{it:06d}.bin")[2] == it
+    assert ((run_dir / "checkpoint_000004.bin").read_bytes()
+            == (run_dir / "checkpoint.bin").read_bytes())
+    # a negative checkpoint_every is a case of test_train_bad_config_exit_1
+
+
+def test_train_batch_of_one_stays_finite(tmp_path, capsys):
+    # minibatch stddev has zero spread at batch 1; the penalty stays finite
+    config = tmp_path / "toy.ini"
+    write_toy_config(config, iterations=3)
+    config.write_text(config.read_text().replace("batch_size = 2", "batch_size = 1"))
+    run_dir = tmp_path / "run"
+    assert main(["train", str(config), "--out-dir", str(run_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(run_dir / "losses.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def write_toy_checkpoint(path, drop=(), seed=0, channels=(4, 3),
@@ -628,6 +659,22 @@ def test_bad_numeric_argument_is_usage_error(tmp_path, capsys, command, option,
     assert not (tmp_path / "o").exists() and not (tmp_path / "o.wav").exists()
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("roundtrip", "--db-floor", "-80"),
+    ("reduce", "--alpha", "0.5"),
+    ("reduce", "--db-reference", "90"),
+])
+def test_option_the_command_does_not_read_is_usage_error(tmp_path, capsys, command,
+                                                        option, value):
+    wav = tmp_path / "in.wav"
+    write_tone(wav, seconds=0.1)
+    out = tmp_path / ("o.wav" if command == "roundtrip" else "o")
+    assert main([command, str(wav), str(out), option, value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: unrecognized arguments: {option} {value}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", [1e30, [1], "abc", 0, -5])
 def test_sample_checkpoint_bad_sample_rate_exit_2(tmp_path, capsys, rate):
     checkpoint = tmp_path / "checkpoint.bin"
@@ -693,6 +740,7 @@ def check_sample_matches_batched(tmp, seed, count, output_channels):
     assert sorted(os.listdir(streamed)) == sorted(os.listdir(batched))
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 3),
        output_channels=st.sampled_from([1, 2]))

@@ -25,6 +25,8 @@ from octaudio.nn.model import (
     save_checkpoint,
 )
 
+pytestmark = pytest.mark.deep
+
 CONFIG_TEXT = b"""
 [audio]
 sample_rate_hz = 2048

@@ -75,11 +75,13 @@ def noise_fn_critic_loss(real, fake, discriminator_fn, gp_lambda, drift_epsilon,
             ad.scale(ad.mean(ad.power(d_real, 2.0)), drift_epsilon),
         ),
     )
-    return loss_d, {"wasserstein": wasserstein, "penalty": float(penalty.data)}
+    return loss_d, {"wasserstein": wasserstein, "penalty": float(penalty.data),
+                    "d_fake": float(np.mean(d_fake.data))}
 
 
+@pytest.mark.deep
 @settings(deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(2, 3),
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(1, 3),
        num_blocks=st.integers(0, 1), seed_blocks=st.integers(1, 2),
        seed_bands=st.sampled_from([2, 4]), output_channels=st.sampled_from([1, 2]),
        scale=st.floats(0.01, 10.0))
@@ -355,15 +357,15 @@ def test_noise_applied_to_both_real_and_fake(tmp_path, monkeypatch):
         assert any(np.array_equal(row, s) for s in samples)
     for batch, made in zip((fake_1, fake_2, fake_g), noisy["generated"]):
         np.testing.assert_array_equal(batch, made)
-    # the critic sees D(real), D(fake), D(xhat) per critic step, D(fake) for
-    # the critic-only iteration's loss_G log, then the generator's D(fake)
+    # the critic sees D(real), D(fake), D(xhat) per critic step, then the
+    # generator's D(fake), and every batch it sees is noised
     critic = noisy["critic"]
+    assert len(critic) == 7
     for seen, batch in ((critic[0], real_1), (critic[1], fake_1),
-                        (critic[4], real_2), (critic[5], fake_2),
-                        (critic[7], fake_g)):
+                        (critic[3], real_2), (critic[4], fake_2),
+                        (critic[6], fake_g)):
         assert not np.any(seen == batch)
-    np.testing.assert_array_equal(critic[3], fake_1)
-    for i, made in zip((1, 5, 7), quiet["generated"]):
+    for i, made in zip((1, 4, 6), quiet["generated"]):
         np.testing.assert_array_equal(quiet["critic"][i], made)
 
 
@@ -388,9 +390,31 @@ def test_train_step_counts(tmp_path, monkeypatch):
     data, cfg, tcfg = toy_setup(iterations=2, noise=1.0)
     train(data, cfg, tcfg, tmp_path / "run")
     # critic step: D(real), D(fake), D(xhat) and one penalty gradient, with
-    # noise on both batches; the logging D(fake) on the critic-only
-    # iteration; generator step: D(fake) with noise on the fake batch only
-    assert counts == {"discriminator": 8, "create_graph": 2, "noise_sigma": 5}
+    # noise on both batches; generator step: D(fake) with noise on the fake
+    # batch only
+    assert counts == {"discriminator": 7, "create_graph": 2, "noise_sigma": 5}
+
+
+def test_critic_only_loss_g_is_the_critic_steps_d_fake(tmp_path, monkeypatch):
+    import octaudio.nn.train as train_module
+
+    scores = []
+
+    def recorded(*args):
+        out = discriminator(*args)
+        scores.append(out.data)
+        return out
+
+    monkeypatch.setattr(train_module, "discriminator", recorded)
+    data, cfg, tcfg = toy_setup(iterations=4, noise=1.0)
+    train(data, cfg, tcfg, tmp_path / "run")
+    with open(tmp_path / "run" / "losses.csv") as fh:
+        loss_g = [float(row.split(",")[2]) for row in fh.read().splitlines()[1:]]
+    # D(real), D(fake), D(xhat) per iteration, and D(fake_g) every second;
+    # iterations 1 and 3 update only the critic
+    assert len(scores) == 14
+    assert loss_g[0] == -float(np.mean(scores[1]))
+    assert loss_g[2] == -float(np.mean(scores[8]))
 
 
 def test_divergence_error_carries_iteration(tmp_path):
