@@ -25,7 +25,14 @@ from .errors import (
     ShapeError,
     UnsupportedFormat,
 )
-from .mdct import MdctTensor, mdct_forward_fast, mdct_inverse, save_tensor
+from .mdct import (
+    MdctTensor,
+    mdct_forward_fast,
+    mdct_inverse,
+    read_amplitudes,
+    tensor_header,
+    write_amplitudes,
+)
 from .nn import autodiff as ad
 from .nn.model import (
     ModelConfig,
@@ -40,7 +47,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 
-# Blocks per pass of roundtrip's forward -> noise -> inverse loop. A pass
+# Blocks per pass of analyze's and roundtrip's loops over the track. A pass
 # holds a few (K, N, C) arrays. On 60 s of 22016 Hz stereo at 128 bands,
 # roundtrip adds 63 MB to the process's peak RSS at 1024 blocks (42 MB of
 # it the (T, C) input and output), 127 MB at 4096 and 175 MB in one pass.
@@ -107,26 +114,85 @@ def _read_trimmed(wav_path, band_count, multiple=1):
     return audio_io.AudioBuffer(buf.samples[:usable], buf.sample_rate_hz)
 
 
+def _pass_bounds(num_blocks):
+    """(m0, m1) block ranges of ROUNDTRIP_CHUNK_BLOCKS blocks, in order.
+
+    Only a one-block track has a one-block pass: numpy multiplies a one-row
+    matrix through gemv, which sums in another order than the whole
+    track's gemm, so such a pass's thresholds would differ in the last bit.
+    A last pass of one block joins the pass before it. (OpenBLAS's dgemm
+    can also round a row by the call's shape: its small-matrix kernel
+    differs in the last of 25 Bark bands, which no pass size avoids.)
+    """
+    starts = list(range(0, num_blocks, max(ROUNDTRIP_CHUNK_BLOCKS, 2)))
+    if len(starts) > 1 and starts[-1] == num_blocks - 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [num_blocks])
+
+
+def _forward_passes(buf, bands):
+    """(m0, m1, tensor): the forward MDCT of blocks [m0, m1) of a trimmed
+    buffer, pass by pass, equal to those blocks of the whole-track
+    transform. Block m reads samples [mN - N/2, mN + 3N/2), so a pass
+    transforms one extra block on each side and drops them."""
+    samples, rate = buf.samples, buf.sample_rate_hz
+    num_blocks = len(samples) // bands
+    for m0, m1 in _pass_bounds(num_blocks):
+        lo, hi = max(m0 - 1, 0), min(m1 + 1, num_blocks)
+        wide = mdct_forward_fast(
+            audio_io.AudioBuffer(samples[lo * bands:hi * bands], rate), bands)
+        yield m0, m1, MdctTensor(wide.amplitudes[m0 - lo:m1 - lo], rate)
+
+
 def cmd_analyze(args):
+    """Forward MDCT, thresholds and tonality in one pass over the track.
+
+    Each pass appends its amplitudes to mdct.bin and its rows to
+    thresholds.csv, keeps its per-block tonality and updates the two image
+    peaks. The images are then drawn pass by pass from mdct.bin, so
+    besides the (T, C) input only the (M,) tonality and two (N, M) uint8
+    images grow with the track.
+    """
     bands = args.bands
     buf = _read_trimmed(args.wav, bands)
-    tensor = mdct_forward_fast(buf, bands)
+    rate, channels = buf.sample_rate_hz, buf.channels
+    num_blocks = len(buf) // bands
+    partition = psycho.bark_partition(rate, bands)
     os.makedirs(args.out_dir, exist_ok=True)
-    spectral.to_db_image(spectral.spectrogram(tensor),
-                         os.path.join(args.out_dir, "spectrogram.pgm"),
-                         args.db_floor)
-    spectral.signed_db_image(
-        tensor, os.path.join(args.out_dir, "signed_amplitudes.pgm"), args.db_floor
-    )
-    thresholds = psycho.write_thresholds_csv(
-        tensor, os.path.join(args.out_dir, "thresholds.csv"),
-        alpha=args.alpha, db_reference=args.db_reference,
-    )
-    tau = thresholds.tonality_per_block.mean(axis=1)
-    spectral.write_tonality_csv(tau, bands / tensor.sample_rate_hz,
+    mdct_path = os.path.join(args.out_dir, "mdct.bin")
+    tau = np.empty(num_blocks)
+    power_peak = amplitude_peak = 0.0     # channel-mean A^2, channel 0 |A|
+    with open(mdct_path, "wb") as mdct_fh, \
+            open(os.path.join(args.out_dir, "thresholds.csv"), "w",
+                 newline="") as csv_fh:
+        mdct_fh.write(tensor_header(num_blocks, bands, channels, rate))
+        csv_fh.write(psycho.THRESHOLDS_CSV_HEADER)
+        for m0, m1, tensor in _forward_passes(buf, bands):
+            amps = tensor.amplitudes
+            write_amplitudes(mdct_fh, amps)
+            thresholds = psycho.compute_thresholds(
+                tensor, partition, args.alpha, args.db_reference)
+            psycho.write_threshold_rows(csv_fh, thresholds, m0)
+            tau[m0:m1] = thresholds.tonality_per_block.mean(axis=1)
+            power_peak = max(power_peak,
+                             spectral.channel_mean_power(amps).max())
+            amplitude_peak = max(amplitude_peak, np.abs(amps[:, :, 0]).max())
+    spectral.write_tonality_csv(tau, bands / rate,
                                 os.path.join(args.out_dir, "tonality.csv"))
-    save_tensor(tensor, os.path.join(args.out_dir, "mdct.bin"))
-    say(f"analyzed {args.wav}: {tensor.num_blocks} blocks x {bands} bands, "
+
+    power = np.empty((bands, num_blocks), dtype=np.uint8)
+    signed = np.empty_like(power)
+    with open(mdct_path, "rb") as fh:
+        for m0, m1 in _pass_bounds(num_blocks):
+            amps = read_amplitudes(fh, m0, m1 - m0, bands, channels)
+            power[:, m0:m1] = spectral.db_pixels(
+                spectral.channel_mean_power(amps), args.db_floor, power_peak)
+            signed[:, m0:m1] = spectral.signed_db_pixels(
+                amps[:, :, 0], args.db_floor, amplitude_peak)
+    spectral.write_pgm(power, os.path.join(args.out_dir, "spectrogram.pgm"))
+    spectral.write_pgm(signed,
+                       os.path.join(args.out_dir, "signed_amplitudes.pgm"))
+    say(f"analyzed {args.wav}: {num_blocks} blocks x {bands} bands, "
         f"mean tonality {float(tau.mean()):.3f}")
     say(f"outputs in {args.out_dir}")
     return EXIT_OK
@@ -155,11 +221,10 @@ def cmd_roundtrip(args):
     """Forward, noise and inverse in passes of ROUNDTRIP_CHUNK_BLOCKS blocks.
 
     Every stage is exact per block, so only the (T, C) input and output
-    grow with the track. Block m reads samples [mN - N/2, mN + 3N/2), so a
-    pass's forward reads one extra block on each side. A pass's inverse
-    laps onto the previous pass's last noisy block and fills output samples
-    [m0 N - N/2, m1 N - N/2); the track ends are exact at both ends. One
-    generator draws the noise pass by pass, the same stream as one draw.
+    grow with the track. A pass's inverse laps onto the previous pass's
+    last noisy block and fills output samples [m0 N - N/2, m1 N - N/2); the
+    track ends are exact at both ends. One generator draws the noise pass
+    by pass, the same stream as one draw.
     """
     bands, half = args.bands, args.bands // 2
     buf = _read_trimmed(args.wav, bands)
@@ -170,12 +235,7 @@ def cmd_roundtrip(args):
     out = np.empty_like(samples)
     sums = np.zeros((2, bands))
     previous = np.empty((0, bands, buf.channels))   # last noisy block
-    for m0 in range(0, num_blocks, ROUNDTRIP_CHUNK_BLOCKS):
-        m1 = min(m0 + ROUNDTRIP_CHUNK_BLOCKS, num_blocks)
-        lo, hi = max(m0 - 1, 0), min(m1 + 1, num_blocks)
-        wide = mdct_forward_fast(
-            audio_io.AudioBuffer(samples[lo * bands:hi * bands], rate), bands)
-        tensor = MdctTensor(wide.amplitudes[m0 - lo:m1 - lo], rate)
+    for m0, m1, tensor in _forward_passes(buf, bands):
         noisy = _add_noise_and_report(tensor, partition, rng, args, sums).amplitudes
         lapped = mdct_inverse(MdctTensor(np.concatenate([previous, noisy]), rate))
         first = (m0 - len(previous)) * bands       # sample 0 of lapped

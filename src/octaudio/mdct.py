@@ -24,6 +24,7 @@ from .errors import ParseError, ShapeError
 
 TENSOR_MAGIC = b"MDCT"
 TENSOR_VERSION = 1
+TENSOR_HEADER_BYTES = 24
 
 
 @dataclass
@@ -164,33 +165,48 @@ def mdct_inverse(tensor):
     return AudioBuffer(y.T, tensor.sample_rate_hz)
 
 
+def tensor_header(num_blocks, band_count, channels, sample_rate_hz):
+    """Magic, version, M, N, C and rate (u32 LE): the first
+    TENSOR_HEADER_BYTES of a tensor file. The float64 data follows."""
+    return TENSOR_MAGIC + struct.pack("<IIIII", TENSOR_VERSION, num_blocks,
+                                      band_count, channels, sample_rate_hz)
+
+
+def write_amplitudes(fh, amplitudes):
+    """Append (K, N, C) amplitudes to an open tensor file as float64 LE,
+    from the array itself: no bytes copy of a contiguous native array."""
+    fh.write(np.ascontiguousarray(amplitudes, dtype="<f8"))
+
+
+def read_amplitudes(fh, first_block, num_blocks, band_count, channels):
+    """Blocks [first_block, first_block + num_blocks) of an open tensor
+    file of N bands and C channels, as (K, N, C) amplitudes."""
+    block_bytes = 8 * band_count * channels
+    fh.seek(TENSOR_HEADER_BYTES + first_block * block_bytes)
+    return np.frombuffer(fh.read(num_blocks * block_bytes), dtype="<f8").reshape(
+        num_blocks, band_count, channels)
+
+
 def save_tensor(tensor, path):
-    """Serialize as magic, version, M, N, C, rate (u32 LE) + float64 data."""
-    header = TENSOR_MAGIC + struct.pack(
-        "<IIIII",
-        TENSOR_VERSION,
-        tensor.num_blocks,
-        tensor.band_count,
-        tensor.channels,
-        tensor.sample_rate_hz,
-    )
+    """Serialize as tensor_header plus the float64 LE amplitudes."""
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(tensor.amplitudes, dtype="<f8").tobytes())
+        fh.write(tensor_header(*tensor.amplitudes.shape, tensor.sample_rate_hz))
+        write_amplitudes(fh, tensor.amplitudes)
 
 
 def load_tensor(path):
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 24 or blob[:4] != TENSOR_MAGIC:
+    if len(blob) < TENSOR_HEADER_BYTES or blob[:4] != TENSOR_MAGIC:
         raise ParseError(f"{path}: not an MDCT tensor file")
     version, m, n, c, rate = struct.unpack_from("<IIIII", blob, 4)
     if version != TENSOR_VERSION:
         raise ParseError(f"{path}: unsupported version {version}")
-    expected = 24 + 8 * m * n * c
+    expected = TENSOR_HEADER_BYTES + 8 * m * n * c
     if len(blob) != expected:
         raise ParseError(f"{path}: size {len(blob)} != expected {expected}")
-    data = np.frombuffer(blob, dtype="<f8", offset=24).reshape(m, n, c)
+    data = np.frombuffer(blob, dtype="<f8", offset=TENSOR_HEADER_BYTES)
+    data = data.reshape(m, n, c)
     if not np.all(np.isfinite(data)):
         raise ParseError(f"{path}: non-finite amplitudes")
     return MdctTensor(data.copy(), rate)

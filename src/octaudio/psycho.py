@@ -29,8 +29,9 @@ ZWICKER_EDGES_HZ = (
 DEFAULT_ALPHA = 0.3
 DEFAULT_DB_REFERENCE = 96.0
 AMPLITUDE_FLOOR = 1e-12
-# blocks per write in write_thresholds_csv
+# blocks per write in write_threshold_rows
 CSV_CHUNK_BLOCKS = 256
+THRESHOLDS_CSV_HEADER = "block,bark_band,I_abs,I_mask,combined,tau\r\n"
 
 
 @dataclass
@@ -214,7 +215,6 @@ def quantize(amplitudes, step):
 
 
 def psychoacoustic_noise(tensor, scale=1.0, rng_seed=0, partition=None,
-                         alpha=DEFAULT_ALPHA, db_reference=DEFAULT_DB_REFERENCE,
                          step=None):
     """Add zero-mean gaussian noise with std scale * step / 2 per bin.
 
@@ -229,7 +229,7 @@ def psychoacoustic_noise(tensor, scale=1.0, rng_seed=0, partition=None,
     if scale == 0.0:
         return MdctTensor(tensor.amplitudes.copy(), tensor.sample_rate_hz)
     if step is None:
-        step = noise_step(tensor, partition, alpha, db_reference)
+        step = noise_step(tensor, partition)
     sigma = scale * 0.5 * step
     rng = np.random.default_rng(rng_seed)
     eta = rng.standard_normal(tensor.amplitudes.shape) * sigma
@@ -255,36 +255,45 @@ def write_thresholds_csv(tensor, path, partition=None, alpha=DEFAULT_ALPHA,
     """Dump per-block per-band thresholds (channel-averaged) as CSV and
     return them (MaskingThresholds).
 
-    Rows are (block, bark_band, I_abs, I_mask, combined, tau) in the bytes
-    of an excel-dialect csv.writer, "\r\n" line ends included. Each value
-    is formatted once: I_abs per band, tau per block, and combined only
-    where it differs from I_mask. Values are formatted CSV_CHUNK_BLOCKS
-    blocks at a time and written block by block, so the file is never held
-    in memory whole.
+    The file is THRESHOLDS_CSV_HEADER followed by write_threshold_rows of
+    every block.
     """
     if partition is None:
         partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
     thr = compute_thresholds(tensor, partition, alpha, db_reference)
+    with open(path, "w", newline="") as fh:
+        fh.write(THRESHOLDS_CSV_HEADER)
+        write_threshold_rows(fh, thr, 0)
+    return thr
+
+
+def write_threshold_rows(fh, thr, first_block):
+    """Append the CSV rows of thr's blocks, numbered from first_block.
+
+    Rows are (block, bark_band, I_abs, I_mask, combined, tau), channel-
+    averaged, in the bytes of an excel-dialect csv.writer, "\r\n" line
+    ends included. Each value is formatted once: I_abs per band, tau per
+    block, and combined only where it differs from I_mask. Values are
+    formatted CSV_CHUNK_BLOCKS blocks at a time and written block by block,
+    so the rows are never held in memory whole.
+    """
     mask = thr.mask.mean(axis=2)
     combined = thr.combined.mean(axis=2)
     tau = thr.tonality_per_block.mean(axis=1)
     bands = [f"{j},{a:.12e}," for j, a in enumerate(thr.absolute.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write("block,bark_band,I_abs,I_mask,combined,tau\r\n")
-        for start in range(0, tensor.num_blocks, CSV_CHUNK_BLOCKS):
-            stop = min(start + CSV_CHUNK_BLOCKS, tensor.num_blocks)
-            mask_chunk = mask[start:stop].ravel()
-            combined_chunk = combined[start:stop].ravel()
-            mask_text = [f"{v:.12e}" for v in mask_chunk.tolist()]
-            # cells hold "bark_band,I_abs,I_mask,combined," in row order
-            cells = [f"{band}{text},{text},"
-                     for band, text in zip(itertools.cycle(bands), mask_text)]
-            for k in np.flatnonzero(combined_chunk != mask_chunk).tolist():
-                cells[k] = (f"{bands[k % len(bands)]}{mask_text[k]},"
-                            f"{combined_chunk[k]:.12e},")
-            for m, tau_m in zip(range(start, stop), tau[start:stop].tolist()):
-                # a block's rows share the head "m," and the tail "tau\r\n"
-                head, tail = f"{m},", f"{tau_m:.9f}\r\n"
-                k = (m - start) * len(bands)
-                fh.write(head + (tail + head).join(cells[k:k + len(bands)]) + tail)
-    return thr
+    for start in range(0, len(mask), CSV_CHUNK_BLOCKS):
+        stop = min(start + CSV_CHUNK_BLOCKS, len(mask))
+        mask_chunk = mask[start:stop].ravel()
+        combined_chunk = combined[start:stop].ravel()
+        mask_text = [f"{v:.12e}" for v in mask_chunk.tolist()]
+        # cells hold "bark_band,I_abs,I_mask,combined," in row order
+        cells = [f"{band}{text},{text},"
+                 for band, text in zip(itertools.cycle(bands), mask_text)]
+        for k in np.flatnonzero(combined_chunk != mask_chunk).tolist():
+            cells[k] = (f"{bands[k % len(bands)]}{mask_text[k]},"
+                        f"{combined_chunk[k]:.12e},")
+        for i, tau_m in enumerate(tau[start:stop].tolist()):
+            # a block's rows share the head "m," and the tail "tau\r\n"
+            head, tail = f"{first_block + start + i},", f"{tau_m:.9f}\r\n"
+            k = i * len(bands)
+            fh.write(head + (tail + head).join(cells[k:k + len(bands)]) + tail)

@@ -7,6 +7,7 @@ dominates the suite's runtime.
 """
 
 import functools
+import os
 import time
 
 import numpy as np
@@ -348,6 +349,14 @@ def test_criterion_12_training_trend(toy_training):
     peak_at = int(np.argmax(smoothed))
     peak = smoothed[peak_at]
     final = smoothed[-1]
+    # the seeded trajectory depends on the BLAS thread count (README,
+    # Tests), so the line names it, and is printed before the checks
+    print(f"             training wall time {elapsed / 60:.1f} min; smoothed gap "
+          f"{peak:.2f} at {peak_at} -> {final:.2f}; tonality "
+          f"{result.gen_tonality[0]:.3f} -> {result.gen_tonality[-1]:.3f}; "
+          f"OPENBLAS_NUM_THREADS "
+          f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
+          f"os.cpu_count() {os.cpu_count()}")
     # the gap rises while the critic warms up, then declines as the
     # generator improves; require a clear decline from the peak
     assert peak_at < int(0.75 * len(smoothed))
@@ -355,9 +364,6 @@ def test_criterion_12_training_trend(toy_training):
 
     assert result.gen_tonality[-1] > result.gen_tonality[0]
     assert elapsed < 1800.0
-    print(f"             training wall time {elapsed / 60:.1f} min; smoothed gap "
-          f"{peak:.2f} -> {final:.2f}; tonality {result.gen_tonality[0]:.3f} "
-          f"-> {result.gen_tonality[-1]:.3f}")
 
 
 @criterion(13, "reduced spectrogram: stack collapses >= 70%; fold conserves", 5)

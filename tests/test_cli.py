@@ -12,15 +12,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octaudio import cli, psycho
+from octaudio import cli, psycho, spectral
 from octaudio.audio_io import AudioBuffer, read_wav, write_wav
 from octaudio.cli import main
 from octaudio.config import load_config
 from octaudio.errors import ConfigError
-from octaudio.mdct import MdctTensor, mdct_forward_fast, mdct_inverse
+from octaudio.mdct import (
+    MdctTensor,
+    mdct_forward_fast,
+    mdct_inverse,
+    save_tensor,
+)
 from octaudio.nn import autodiff as ad
 from octaudio.nn.model import (
     ModelConfig,
@@ -291,6 +296,119 @@ def test_roundtrip_peak_grows_with_input_and_output_only(tmp_path, capsys):
     growth = roundtrip_peak_bytes(tmp_path, 40) - roundtrip_peak_bytes(tmp_path, 10)
     input_growth = FS * (40 - 10) * 2 * 8
     assert growth <= 3 * input_growth, growth / input_growth
+
+
+ANALYZE_OUTPUTS = ("spectrogram.pgm", "signed_amplitudes.pgm", "thresholds.csv",
+                   "tonality.csv", "mdct.bin")
+
+
+def whole_track_analyze(wav, out_dir, bands):
+    """analyze before it ran in passes: one forward transform of the whole
+    track, from which every output is written."""
+    buf = read_wav(wav)
+    usable = len(buf) // bands * bands
+    buf = AudioBuffer(buf.samples[:usable], buf.sample_rate_hz)
+    tensor = mdct_forward_fast(buf, bands)
+    os.makedirs(out_dir, exist_ok=True)
+    spectral.to_db_image(spectral.spectrogram(tensor),
+                         os.path.join(out_dir, "spectrogram.pgm"))
+    spectral.signed_db_image(tensor,
+                             os.path.join(out_dir, "signed_amplitudes.pgm"))
+    thresholds = psycho.write_thresholds_csv(
+        tensor, os.path.join(out_dir, "thresholds.csv"))
+    tau = thresholds.tonality_per_block.mean(axis=1)
+    spectral.write_tonality_csv(tau, bands / tensor.sample_rate_hz,
+                                os.path.join(out_dir, "tonality.csv"))
+    save_tensor(tensor, os.path.join(out_dir, "mdct.bin"))
+
+
+def check_chunked_analyze(tmp, chunk_blocks, blocks, channels, seed, bands=16,
+                          extra_samples=5, level=0.3):
+    """Run analyze in passes of chunk_blocks blocks on a seeded signal of
+    `blocks` blocks (plus a tail it trims) and compare its five files with
+    the whole-track chain's, byte for byte."""
+    rng = np.random.default_rng(seed)
+    samples = level * rng.standard_normal((blocks * bands + extra_samples,
+                                           channels))
+    wav = os.path.join(tmp, "in.wav")
+    write_wav(AudioBuffer(samples, FS), wav)
+    chunked, whole = os.path.join(tmp, "chunked"), os.path.join(tmp, "whole")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "ROUNDTRIP_CHUNK_BLOCKS", chunk_blocks)
+        mp.setenv("OCTAUDIO_VERBOSE", "0")
+        assert main(["analyze", wav, chunked, "--bands", str(bands)]) == 0
+    whole_track_analyze(wav, whole, bands)
+    for name in ANALYZE_OUTPUTS:
+        with open(os.path.join(chunked, name), "rb") as a, \
+                open(os.path.join(whole, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+@pytest.mark.parametrize("blocks", [1, 2, K - 1, K, K + 1, 2 * K + 3])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_analyze_chunk_boundaries_match_whole_track(tmp_path, blocks, channels):
+    check_chunked_analyze(str(tmp_path), K, blocks, channels, seed=3)
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(chunk_blocks=st.integers(1, 9), blocks=st.integers(1, 30),
+       channels=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
+       bands=st.sampled_from([8, 16, 32]), extra_samples=st.integers(0, 7),
+       level=st.sampled_from([0.0, 1e-4, 0.3]))
+@example(chunk_blocks=2, blocks=5, channels=2, seed=0, bands=8,
+         extra_samples=3, level=0.0)
+@example(chunk_blocks=1, blocks=12, channels=2, seed=0, bands=8,
+         extra_samples=0, level=1e-4)
+def test_chunked_analyze_matches_whole_track(chunk_blocks, blocks, channels,
+                                             seed, bands, extra_samples, level):
+    # level 0.0 is an all-zero track: both images take the zero-peak branch.
+    # Chunk size 1 asks for one-block passes, whose thresholds would differ
+    # in the last bit (gemv); _pass_bounds makes none.
+    with tempfile.TemporaryDirectory() as tmp:
+        check_chunked_analyze(tmp, chunk_blocks, blocks, channels, seed, bands,
+                              extra_samples, level)
+
+
+def test_analyze_tonality_once_per_pass(tmp_path, monkeypatch):
+    calls = []
+    tonality = psycho.tonality
+
+    def counted(amplitudes):
+        calls.append(amplitudes.shape)
+        return tonality(amplitudes)
+
+    monkeypatch.setattr(psycho, "tonality", counted)
+    monkeypatch.setattr(spectral, "tonality", counted)
+    monkeypatch.setattr(cli, "ROUNDTRIP_CHUNK_BLOCKS", 100)
+    wav = tmp_path / "t.wav"
+    write_tone(wav, seconds=2.0)
+    blocks = int(FS * 2.0) // 128
+    assert main(["analyze", str(wav), str(tmp_path / "o")]) == 0
+    # each pass's thresholds and tonality.csv share one tonality computation
+    assert len(calls) == math.ceil(blocks / 100) == 4
+
+
+def analyze_peak_bytes(tmp_path, seconds):
+    """tracemalloc peak of one analyze of a seeded stereo WAV."""
+    rng = np.random.default_rng(0)
+    wav, out = tmp_path / f"in{seconds}.wav", tmp_path / f"out{seconds}"
+    write_wav(AudioBuffer(0.1 * rng.standard_normal((FS * seconds, 2)), FS), wav)
+    tracemalloc.start()
+    try:
+        assert main(["analyze", str(wav), str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_peak_grows_with_input_only(tmp_path, capsys):
+    # the (T, C) float64 input grows with the track (1.25x its growth in
+    # bytes while read_wav converts), the (N, M) uint8 images by 1/16 of it
+    # in stereo; nothing else should
+    growth = analyze_peak_bytes(tmp_path, 40) - analyze_peak_bytes(tmp_path, 10)
+    input_growth = FS * (40 - 10) * 2 * 8
+    assert growth <= 1.5 * input_growth, growth / input_growth
 
 
 def test_reduce_level0_matches_analyze(tmp_path):
@@ -580,25 +698,6 @@ freeze_blocks = {blocks}
 """)
     with pytest.raises(ConfigError, match="freeze_blocks"):
         load_config(path)
-
-
-def test_analyze_computes_tonality_once(tmp_path, monkeypatch):
-    from octaudio import spectral
-
-    calls = []
-    tonality = psycho.tonality
-
-    def counted(amplitudes):
-        calls.append(amplitudes.shape)
-        return tonality(amplitudes)
-
-    monkeypatch.setattr(psycho, "tonality", counted)
-    monkeypatch.setattr(spectral, "tonality", counted)
-    wav = tmp_path / "t.wav"
-    write_tone(wav, seconds=0.1)
-    assert main(["analyze", str(wav), str(tmp_path / "o")]) == 0
-    # the thresholds and tonality.csv share one tonality computation
-    assert len(calls) == 1
 
 
 def test_quiet_env_suppresses_chatter(tmp_path, capsys, monkeypatch):

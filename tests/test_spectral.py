@@ -9,6 +9,7 @@ from octaudio.mdct import MdctTensor, mdct_forward_fast
 from octaudio.spectral import (
     Spectrogram,
     blur_time,
+    channel_mean_power,
     db_pixels,
     fold_frequency,
     mean_tonality,
@@ -72,6 +73,29 @@ def test_db_pixels_orientation():
 
 def test_db_pixels_zero_input():
     assert np.all(db_pixels(np.zeros((3, 4))) == 0)
+
+
+@pytest.mark.parametrize("pixels", [db_pixels, signed_db_pixels])
+def test_pixels_in_column_pieces_with_whole_peak_match_whole(pixels):
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((11, 8)) * 10.0 ** rng.uniform(-6, 0, (11, 1))
+    if pixels is db_pixels:
+        values = values * values
+    peak = np.abs(values).max()
+    pieces = [pixels(values[m0:m0 + 3], -60.0, peak) for m0 in range(0, 11, 3)]
+    np.testing.assert_array_equal(np.concatenate(pieces, axis=1),
+                                  pixels(values, -60.0))
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_channel_mean_power_is_bitwise_mean_of_squares(channels):
+    rng = np.random.default_rng(channels)
+    amps = rng.standard_normal((9, 16, channels))
+    amps *= 10.0 ** rng.uniform(-170, 0, (9, 1, channels))   # subnormal squares
+    amps[2] = 0.0
+    expected = (amps ** 2).mean(axis=2)
+    np.testing.assert_array_equal(channel_mean_power(amps).view(np.int64),
+                                  expected.view(np.int64))
 
 
 def test_harmonic_lines_at_expected_bands():
@@ -158,6 +182,12 @@ def test_harmonic_stack_collapses():
     assert final.shape == (32,)
     assert final.max() >= 0.7 * final.sum()
     assert np.argmax(final) == 20
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (4,), (1, 4, 8, 1)])
+def test_spectrogram_needs_blocks_bands_channels(shape):
+    with pytest.raises(ShapeError):
+        Spectrogram(np.zeros(shape))
 
 
 def test_reduce_divisibility_error():
