@@ -210,8 +210,7 @@ def _add_noise_and_report(tensor, partition, rng, args, sums):
                                         step=step)
     added = noisy.amplitudes - tensor.amplitudes
     allowance = step / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normalized = np.where(allowance > 0, (added / allowance) ** 2, 0.0)
+    normalized = np.where(allowance > 0, (added / allowance) ** 2, 0.0)
     sums[0] += (added * added).sum(axis=(0, 2))
     sums[1] += normalized.sum(axis=(0, 2))
     return noisy
@@ -449,7 +448,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):     # the finiteness checks set the exit code
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

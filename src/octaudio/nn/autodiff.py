@@ -265,49 +265,56 @@ def matmul(a, b):
 # ---------------------------------------------------------------------------
 # patches / slicing (all linear)
 
-def unfold(a, kernel):
-    """Stride-1 patch extraction: (B, Mp, Np, C) -> (B, Mo, No, kh, kw, C).
+def _cells(length, before, after, taps, stride):
+    """Cells of a padded axis, and the number of `taps`-cell patches in it."""
+    cells, rest = divmod(before + length + after, stride)
+    if min(before, after) < 0 or rest or cells < taps:
+        raise ShapeError(f"{before}+{length}+{after} is not {taps}+ cells of {stride}")
+    return cells, cells - taps + 1
 
-    out[:, i, j, di, dj] = a[:, i + di, j + dj] with Mo = Mp - kh + 1 and
-    No = Np - kw + 1.
+
+def gather(a, taps, strides, pads):
+    """Zero-pad (B, M, N, C) by pads = (top, bottom, left, right) into a grid
+    of (sm, sk) cells and copy its patches of (th, tw) cells, once, into a
+    contiguous (B, Mo, No, th, tw, sm, sk, C) array:
+    out[:, i, j, di, dj, r, q] = padded[:, (i + di)*sm + r, (j + dj)*sk + q]."""
+    a = _as_tensor(a)
+    (th, tw), (sm, sk), (top, bottom, left, right) = taps, strides, pads
+    batch, m, n, channels = a.shape
+    cells_m, _ = _cells(m, top, bottom, th, sm)
+    cells_n, _ = _cells(n, left, right, tw, sk)
+    padded = np.zeros((batch, cells_m * sm, cells_n * sk, channels))
+    padded[:, top:top + m, left:left + n] = a.data
+    cells = padded.reshape(batch, cells_m, sm, cells_n, sk, channels)
+    windows = sliding_window_view(cells, (th, tw), axis=(1, 3))
+    data = np.ascontiguousarray(windows.transpose(0, 1, 3, 6, 7, 2, 4, 5))
+    return Tensor(data, (a,), (lambda g: scatter(g, (m, n), pads),))
+
+
+def scatter(a, size, pads):
+    """Adjoint of gather: sum the patches into the padded grid, cropped to
+    (B, M, N, C) with (M, N) = size. Taps are added onto zeros in reverse
+    lexicographic order, so each cell sums its terms in ascending patch
+    order, like an element-by-element scatter. A single tap is only moved.
     """
     a = _as_tensor(a)
-    kh, kw = kernel
-    if a.ndim != 4 or a.shape[1] < kh or a.shape[2] < kw:
-        raise ShapeError(f"unfold of {a.shape} needs (B, >={kh}, >={kw}, C)")
-    windows = sliding_window_view(a.data, (kh, kw), axis=(1, 2))
-    data = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-    return Tensor(
-        data,
-        (a,),
-        (lambda g, size=a.shape[1:3]: fold(g, size),),
-    )
-
-
-def fold(a, size):
-    """Adjoint of unfold: sum (B, Mo, No, kh, kw, C) patches into a
-    (B, Mp, Np, C) grid with (Mp, Np) = size.
-
-    Kernel offsets are added in reverse lexicographic order, so each grid
-    cell sums its terms in ascending patch order, exactly like an
-    element-by-element scatter over the patches.
-    """
-    a = _as_tensor(a)
-    if a.ndim != 6:
-        raise ShapeError("fold expects (B, Mo, No, kh, kw, C)")
-    batch, mo, no, kh, kw, channels = a.shape
-    mp, np_ = size
-    if mp - kh + 1 != mo or np_ - kw + 1 != no:
-        raise ShapeError(f"fold of {a.shape} does not tile a {mp} x {np_} grid")
-    out = np.zeros((batch, mp, np_, channels))
-    for di in range(kh - 1, -1, -1):
-        for dj in range(kw - 1, -1, -1):
-            out[:, di:di + mo, dj:dj + no] += a.data[:, :, :, di, dj]
-    return Tensor(
-        out,
-        (a,),
-        (lambda g: unfold(g, (kh, kw)),),
-    )
+    batch, mo, no, th, tw, sm, sk, channels = a.shape
+    (m, n), (top, bottom, left, right) = size, pads
+    cells_m, want_m = _cells(m, top, bottom, th, sm)
+    cells_n, want_n = _cells(n, left, right, tw, sk)
+    if (mo, no) != (want_m, want_n):
+        raise ShapeError(f"scatter of {a.shape} does not tile {size} padded by {pads}")
+    if (th, tw) == (1, 1):
+        grid = a.data.reshape(batch, mo, no, sm, sk, channels)
+    else:
+        grid = np.zeros((batch, cells_m, cells_n, sm, sk, channels))
+        for di in range(th - 1, -1, -1):
+            for dj in range(tw - 1, -1, -1):
+                grid[:, di:di + mo, dj:dj + no] += a.data[:, :, :, di, dj]
+    grid = grid.transpose(0, 1, 3, 2, 4, 5).reshape(
+        batch, cells_m * sm, cells_n * sk, channels)
+    return Tensor(grid[:, top:top + m, left:left + n], (a,),
+                  (lambda g: gather(g, (th, tw), (sm, sk), pads),))
 
 
 def flip(a, axes):
@@ -317,10 +324,10 @@ def flip(a, axes):
     return Tensor(np.flip(a.data, axes), (a,), (lambda g: flip(g, axes),))
 
 
-# take_axis1 and scatter_axis1 are the index-map gather/scatter that unfold
-# and fold replaced; no layer calls them. The benchmark's per-layer metric
-# list still names them and its traced mode stops on a name it cannot find,
-# so they stay until that list drops them.
+# take_axis1 and scatter_axis1 are an index-map gather/scatter that gather
+# and scatter above replaced; no layer calls them. The benchmark's per-layer
+# metric list still names them and its traced mode stops on a name it cannot
+# find, so they stay until that list drops them.
 
 def take_axis1(a, indices):
     """a[:, indices, :] for a of shape (B, P, C)."""

@@ -4,14 +4,15 @@ Convolutions use SAME padding: with stride s the output length is
 ceil(in/s), so strided layers divide an axis exactly and transposed layers
 multiply it exactly.
 
-Strided layers run in polyphase (sub-pixel) form, so patches are only ever
-taken at stride 1. The kernel is zero-padded to a whole number of taps per
-stride, t = ceil(k/s), and regrouped by phase: offset d = tap*s + phase.
-- conv2d: pad -> space-to-depth (each s-cell becomes one deep pixel) ->
-  stride-1 unfold of t taps -> matmul.
-- transposed_conv2d, its adjoint: pad -> stride-1 unfold of t taps ->
+Strided layers run in polyphase (sub-pixel) form. The kernel is
+zero-padded to a whole number of taps per stride, t = ceil(k/s), and
+regrouped by phase: offset d = tap*s + phase. ad.gather and its adjoint
+ad.scatter own the layout of the padded grid of s-cells.
+- conv2d: gather t taps of whole s-cells (each cell one deep pixel) ->
+  matmul.
+- transposed_conv2d, its adjoint: gather t taps of single pixels ->
   matmul against the tap-reversed kernel, producing all s phases of each
-  output cell at once -> depth-to-space -> crop.
+  output cell at once -> scatter the cells onto the cropped output grid.
 """
 
 from ..errors import ShapeError
@@ -67,19 +68,13 @@ def conv2d(x, weights, bias, strides):
     mo, no = -(-m // sm), -(-n // sk)
     # pad to exactly (mo + th - 1) s-cells: patch i then starts at cell i
     before_m, before_n = _pad_before(m, kh, sm), _pad_before(n, kw, sk)
-    h = ad.pad_axis(x, 1, before_m, (mo + th - 1) * sm - m - before_m)
-    h = ad.pad_axis(h, 2, before_n, (no + tw - 1) * sk - n - before_n)
-    # space-to-depth: h[:, a*sm + r, b*sk + q] -> deep pixel (a, b), phase (r, q)
-    depth = sm * sk * cin
-    h = ad.reshape(h, (batch, mo + th - 1, sm, no + tw - 1, sk, cin))
-    h = ad.permute(h, (0, 1, 3, 2, 4, 5))
-    h = ad.reshape(h, (batch, mo + th - 1, no + tw - 1, depth))
+    pads = (before_m, (mo + th - 1) * sm - m - before_m,
+            before_n, (no + tw - 1) * sk - n - before_n)
+    patches = ad.gather(x, (th, tw), strides, pads)  # (B, Mo, No, th, tw, sm, sk, Cin)
+    patches = ad.reshape(patches, (batch * mo * no, th * tw * sm * sk * cin))
     w = ad.permute(w, (0, 2, 1, 3, 4, 5))                # (th, tw, sm, sk, Cin, Cout)
-    patches = ad.unfold(h, (th, tw))                    # (B, Mo, No, th, tw, depth)
-    patches = ad.reshape(patches, (batch * mo * no, th * tw * depth))
-    out = ad.matmul(patches, ad.reshape(w, (th * tw * depth, cout)))
-    out = ad.add(out, bias)
-    return ad.reshape(out, (batch, mo, no, cout))
+    out = ad.matmul(patches, ad.reshape(w, (th * tw * sm * sk * cin, cout)))
+    return ad.reshape(ad.add(out, bias), (batch, mo, no, cout))
 
 
 def transposed_conv2d(x, weights, bias, strides):
@@ -102,20 +97,18 @@ def transposed_conv2d(x, weights, bias, strides):
     # stride-1 patch at cell a holds x[a - th + 1 .. a], taps in reverse.
     first_m, last_m = before_m // sm, (before_m + mo - 1) // sm
     first_n, last_n = before_n // sk, (before_n + no - 1) // sk
-    h = ad.pad_axis(x, 1, th - 1 - first_m, last_m - (m - 1))
-    h = ad.pad_axis(h, 2, tw - 1 - first_n, last_n - (n - 1))
     cells_m, cells_n = last_m - first_m + 1, last_n - first_n + 1
-    patches = ad.unfold(h, (th, tw))                    # (B, cells_m, cells_n, th, tw, Cin)
+    pads = (th - 1 - first_m, last_m + 1 - m, tw - 1 - first_n, last_n + 1 - n)
+    patches = ad.gather(x, (th, tw), (1, 1), pads)  # (B, Mc, Nc, th, tw, 1, 1, Cin)
     patches = ad.reshape(patches, (batch * cells_m * cells_n, th * tw * cin))
     w = ad.permute(ad.flip(w, (0, 2)), (0, 2, 4, 1, 3, 5))  # (th, tw, Cin, sm, sk, Cout)
     t = ad.matmul(patches, ad.reshape(w, (th * tw * cin, sm * sk * cout)))
-    # depth-to-space: phase (r, q) of cell (a, b) -> row a*sm + r, column b*sk + q
-    t = ad.reshape(t, (batch, cells_m, cells_n, sm, sk, cout))
-    t = ad.permute(t, (0, 1, 3, 2, 4, 5))
-    t = ad.reshape(t, (batch, cells_m * sm, cells_n * sk, cout))
-    top, left = before_m - first_m * sm, before_n - first_n * sk
-    t = ad.slice_axis(t, 1, top, top + mo)
-    t = ad.slice_axis(t, 2, left, left + no)
+    # phase (r, q) of cell (a, b) lands on row a*sm + r, column b*sk + q;
+    # rebinding t frees the matmul output before the bias add allocates
+    crop = (before_m - first_m * sm, (last_m + 1) * sm - before_m - mo,
+            before_n - first_n * sk, (last_n + 1) * sk - before_n - no)
+    t = ad.reshape(t, (batch, cells_m, cells_n, 1, 1, sm, sk, cout))
+    t = ad.scatter(t, (mo, no), crop)
     return ad.add(t, bias)
 
 

@@ -9,6 +9,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from octaudio.errors import ShapeError
 from octaudio.nn import autodiff as ad
 from octaudio.nn.layers import (
+    _pad_before,
+    _phase_kernel,
     concat_bands,
     conv2d,
     dense,
@@ -165,59 +167,89 @@ def test_take_scatter_are_adjoint():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def scatter_reference(patches, size):
-    """np.add.at over flat patch indices: the index-map scatter that fold
-    replaced, kept as its bit-for-bit oracle."""
-    batch, mo, no, kh, kw, channels = patches.shape
-    mp, np_ = size
-    i = np.arange(mo)[:, None, None, None] + np.arange(kh)[None, None, :, None]
-    j = np.arange(no)[None, :, None, None] + np.arange(kw)[None, None, None, :]
-    flat = (i * np_ + j).reshape(-1)
-    out = np.zeros((batch, mp * np_, channels))
+def scatter_reference(patches, size, pads):
+    """np.add.at over flat patch indices into the padded grid, then the crop:
+    an element-by-element scatter, kept as scatter's bit-for-bit oracle."""
+    batch, mo, no, th, tw, sm, sk, channels = patches.shape
+    top, bottom, left, right = pads
+    rows, cols = top + size[0] + bottom, left + size[1] + right
+    i, j, di, dj, r, q = np.ix_(*map(np.arange, (mo, no, th, tw, sm, sk)))
+    flat = (((i + di) * sm + r) * cols + (j + dj) * sk + q).reshape(-1)
+    out = np.zeros((batch, rows * cols, channels))
     np.add.at(out, (slice(None), flat), patches.reshape(batch, -1, channels))
-    return out.reshape(batch, mp, np_, channels), flat
+    out = out.reshape(batch, rows, cols, channels)
+    return out[:, top:rows - bottom, left:cols - right], flat
 
 
-def test_unfold_fold_grads():
+def test_gather_scatter_grads():
     rng = np.random.default_rng(7)
-    a = leaf(rng, (2, 7, 5, 3))
+    a = leaf(rng, (2, 5, 4, 3))
+    for taps, strides, pads in [((3, 2), (1, 1), (1, 1, 0, 1)),
+                                ((2, 2), (2, 1), (1, 0, 0, 1)),
+                                ((1, 1), (2, 3), (0, 1, 1, 1))]:
+        assert_grads_match(
+            lambda: ad.sum_along(ad.power(ad.gather(a, taps, strides, pads), 2.0)), [a]
+        )
+    b = leaf(rng, (2, 2, 4, 2, 2, 2, 1, 3))
     assert_grads_match(
-        lambda: ad.sum_along(ad.power(ad.unfold(a, (3, 2)), 2.0)), [a]
+        lambda: ad.sum_along(ad.power(ad.scatter(b, (5, 4), (1, 0, 0, 1)), 2.0)), [b]
     )
-    b = leaf(rng, (2, 5, 4, 3, 2, 3))
+    c = leaf(rng, (2, 3, 2, 1, 1, 2, 2, 3))
     assert_grads_match(
-        lambda: ad.sum_along(ad.power(ad.fold(b, (7, 5)), 2.0)), [b]
+        lambda: ad.sum_along(ad.power(ad.scatter(c, (5, 3), (1, 0, 0, 1)), 2.0)), [c]
     )
 
 
 @pytest.mark.deep
 @settings(deadline=None)
 @given(
-    st.integers(1, 3), st.integers(1, 3), st.integers(1, 8), st.integers(1, 4),
-    st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 5), st.integers(1, 3),
+    st.integers(1, 4), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+    st.data(),
 )
-def test_unfold_fold_are_adjoint(batch, channels, kh, kw, mo, no, seed):
-    mp, np_ = mo + kh - 1, no + kw - 1
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((batch, mp, np_, channels))
-    y = rng.standard_normal((batch, mo, no, kh, kw, channels))
-    patches = ad.unfold(ad.constant(x), (kh, kw)).data
-    folded = ad.fold(ad.constant(y), (mp, np_)).data
-    assert patches.shape == y.shape and folded.shape == x.shape
-    lhs, rhs = np.sum(patches * y), np.sum(x * folded)
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), np.sum(np.abs(patches * y)))
-    reference, flat = scatter_reference(y, (mp, np_))
-    np.testing.assert_array_equal(folded, reference)
+def test_gather_scatter_are_adjoint(batch, channels, th, tw, sm, sk, mo, no, data):
+    rows, cols = (mo + th - 1) * sm, (no + tw - 1) * sk
+    top = data.draw(st.integers(0, rows - 1))
+    bottom = data.draw(st.integers(0, rows - 1 - top))
+    left = data.draw(st.integers(0, cols - 1))
+    right = data.draw(st.integers(0, cols - 1 - left))
+    size, pads = (rows - top - bottom, cols - left - right), (top, bottom, left, right)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal((batch, *size, channels))
+    y = rng.standard_normal((batch, mo, no, th, tw, sm, sk, channels))
+    patches = ad.gather(ad.constant(x), (th, tw), (sm, sk), pads).data
+    scattered = ad.scatter(ad.constant(y), size, pads).data
+    assert patches.shape == y.shape and scattered.shape == x.shape
+    lhs, rhs = np.sum(patches * y), np.sum(x * scattered)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.sum(np.abs(patches * y)))
+    reference, flat = scatter_reference(y, size, pads)
+    np.testing.assert_array_equal(scattered, reference)
+    padded = np.zeros((batch, rows, cols, channels))
+    padded[:, top:top + size[0], left:left + size[1]] = x
     np.testing.assert_array_equal(
         patches.reshape(batch, -1, channels),
-        x.reshape(batch, -1, channels)[:, flat],
+        padded.reshape(batch, -1, channels)[:, flat],
     )
 
 
-def test_fold_rejects_a_grid_it_does_not_tile():
-    y = ad.constant(np.zeros((1, 3, 2, 2, 2, 1)))
+def test_single_tap_scatter_only_moves():
+    # depth-to-space: nothing is added, so -0.0 keeps its sign
+    y = np.full((1, 2, 1, 1, 1, 2, 3, 1), -0.0)
+    out = ad.scatter(ad.constant(y), (3, 3), (1, 0, 0, 0)).data
+    assert out.shape == (1, 3, 3, 1) and np.all(np.signbit(out))
+
+
+def test_gather_scatter_reject_grids_of_partial_cells():
+    x = ad.constant(np.zeros((1, 5, 4, 1)))
     with pytest.raises(ShapeError):
-        ad.fold(y, (8, 3))       # 8 rows hold 7 height-2 patches, not 3
+        ad.gather(x, (1, 1), (2, 1), (0, 0, 0, 0))    # 5 rows are not whole 2-row cells
+    with pytest.raises(ShapeError):
+        ad.gather(x, (4, 1), (2, 1), (1, 0, 0, 0))    # 3 cells hold no 4-cell patch
+    with pytest.raises(ShapeError):
+        ad.gather(x, (1, 1), (1, 1), (0, 0, -1, 0))
+    y = ad.constant(np.zeros((1, 3, 2, 2, 2, 1, 1, 1)))
+    with pytest.raises(ShapeError):
+        ad.scatter(y, (8, 3), (0, 0, 0, 0))   # 8 rows hold 7 height-2 patches, not 3
 
 
 def test_flip_grads_and_self_adjoint():
@@ -420,6 +452,89 @@ def test_transposed_conv2d_matches_strided_oracle(kernel, strides, grid):
     assert_layer_matches_oracle(
         transposed_conv2d, oracle_transposed_conv2d, x, w, b, strides, rng
     )
+
+
+# The layer chains from before gather and scatter owned the cell layout:
+# pad -> space-to-depth -> stride-1 unfold, and depth-to-space -> crop, with
+# strided_unfold/strided_fold at stride 1 as that unfold and fold.
+
+def chain_conv2d(x, weights, bias, strides):
+    batch, m, n, cin = x.shape
+    kh, kw, _, cout = weights.shape
+    sm, sk = strides
+    w = _phase_kernel(weights, strides)
+    th, tw = w.shape[0], w.shape[2]
+    mo, no = -(-m // sm), -(-n // sk)
+    before_m, before_n = _pad_before(m, kh, sm), _pad_before(n, kw, sk)
+    h = ad.pad_axis(x, 1, before_m, (mo + th - 1) * sm - m - before_m)
+    h = ad.pad_axis(h, 2, before_n, (no + tw - 1) * sk - n - before_n)
+    h = ad.reshape(h, (batch, mo + th - 1, sm, no + tw - 1, sk, cin))
+    h = ad.permute(h, (0, 1, 3, 2, 4, 5))
+    h = ad.reshape(h, (batch, mo + th - 1, no + tw - 1, sm * sk * cin))
+    w = ad.permute(w, (0, 2, 1, 3, 4, 5))
+    patches = strided_unfold(h, (th, tw), (1, 1))
+    patches = ad.reshape(patches, (batch * mo * no, th * tw * sm * sk * cin))
+    out = ad.matmul(patches, ad.reshape(w, (th * tw * sm * sk * cin, cout)))
+    return ad.reshape(ad.add(out, bias), (batch, mo, no, cout))
+
+
+def chain_transposed_conv2d(x, weights, bias, strides):
+    batch, m, n, cin = x.shape
+    kh, kw, _, cout = weights.shape
+    sm, sk = strides
+    w = _phase_kernel(weights, strides)
+    th, tw = w.shape[0], w.shape[2]
+    mo, no = m * sm, n * sk
+    before_m, before_n = _pad_before(mo, kh, sm), _pad_before(no, kw, sk)
+    first_m, last_m = before_m // sm, (before_m + mo - 1) // sm
+    first_n, last_n = before_n // sk, (before_n + no - 1) // sk
+    h = ad.pad_axis(x, 1, th - 1 - first_m, last_m - (m - 1))
+    h = ad.pad_axis(h, 2, tw - 1 - first_n, last_n - (n - 1))
+    cells_m, cells_n = last_m - first_m + 1, last_n - first_n + 1
+    patches = strided_unfold(h, (th, tw), (1, 1))
+    patches = ad.reshape(patches, (batch * cells_m * cells_n, th * tw * cin))
+    w = ad.permute(ad.flip(w, (0, 2)), (0, 2, 4, 1, 3, 5))
+    t = ad.matmul(patches, ad.reshape(w, (th * tw * cin, sm * sk * cout)))
+    t = ad.reshape(t, (batch, cells_m, cells_n, sm, sk, cout))
+    t = ad.permute(t, (0, 1, 3, 2, 4, 5))
+    t = ad.reshape(t, (batch, cells_m * sm, cells_n * sk, cout))
+    top, left = before_m - first_m * sm, before_n - first_n * sk
+    t = ad.slice_axis(t, 1, top, top + mo)
+    t = ad.slice_axis(t, 2, left, left + no)
+    return ad.add(t, bias)
+
+
+def output_and_gradients(layer, x, w, b, strides, probe):
+    """out, d<out, probe>/d(x, w, b), and d|d<out, probe>/dx|^2/dw."""
+    out = layer(x, w, b, strides)
+    grads = ad.grad(ad.sum_along(ad.mul(out, probe)), [x, w, b], create_graph=True)
+    (second,) = ad.grad(ad.sum_along(ad.power(grads[0], 2.0)), [w])
+    return [out.data, *(g.data for g in grads), second.data]
+
+
+@pytest.mark.parametrize("layer,chain,grids", [
+    (conv2d, chain_conv2d, [(7, 5), (8, 6)]),
+    (transposed_conv2d, chain_transposed_conv2d, [(3, 5), (4, 2)]),
+], ids=["conv2d", "transposed_conv2d"])
+@pytest.mark.parametrize("kernel,strides", ORACLE_CASES)
+def test_layers_are_bitwise_the_pad_and_unfold_chains(layer, chain, grids, kernel,
+                                                      strides):
+    rng = np.random.default_rng(22)
+    for grid in grids:
+        x = leaf(rng, (2, *grid, 3))
+        x.data[0, 1, 1, 0] = -0.0
+        # sample 1 against output channel 0 underflows, so with a fused
+        # multiply-add the matmul yields signed zeros, which the -0.0 bias keeps
+        x.data[1] *= 1e-130
+        w = leaf(rng, (*kernel, 3, 4))
+        w.data[..., 0] *= 1e-200
+        b = leaf(rng, (4,))
+        b.data[0] = -0.0
+        probe = ad.constant(rng.standard_normal((2, *layer(x, w, b, strides).shape[1:])))
+        got = output_and_gradients(layer, x, w, b, strides, probe)
+        want = output_and_gradients(chain, x, w, b, strides, probe)
+        for g, r in zip(got, want):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes()
 
 
 @pytest.mark.deep

@@ -877,3 +877,20 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_diverging_training_exits_3_with_one_stderr_line(tmp_path):
+    # numpy's overflow warnings stay off stderr: the loss check reports it
+    root = pathlib.Path(__file__).resolve().parent.parent
+    config = tmp_path / "diverge.ini"
+    config.write_text((root / "examples_config.ini").read_text()
+                      .replace("learning_rate = 0.001", "learning_rate = 1e30")
+                      .replace("iterations = 2000", "iterations = 5"))
+    result = subprocess.run(
+        [sys.executable, "-m", "octaudio", "train", str(config),
+         "--out-dir", str(tmp_path / "run")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == ["compute error: non-finite loss at iteration 2"]
