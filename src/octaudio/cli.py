@@ -203,17 +203,30 @@ def _add_noise_and_report(tensor, partition, rng, args, sums):
 
     Adds to sums, per bin and summed over blocks and channels, the added
     power (row 0) and its ratio to the inaudible allowance (step/2)^2, which
-    is c^2 at the design point (row 1).
+    is c^2 at the design point (row 1); a bin with zero allowance adds 0.
     """
     step = psycho.noise_step(tensor, partition, args.alpha, args.db_reference)
     noisy = psycho.psychoacoustic_noise(tensor, scale=args.noise, rng_seed=rng,
                                         step=step)
     added = noisy.amplitudes - tensor.amplitudes
-    allowance = step / 2.0
-    normalized = np.where(allowance > 0, (added / allowance) ** 2, 0.0)
-    sums[0] += (added * added).sum(axis=(0, 2))
-    sums[1] += normalized.sum(axis=(0, 2))
+    allowance = np.divide(step, 2.0, out=step)     # step is not read again
+    terms = np.zeros_like(added)
+    np.divide(added, allowance, out=terms, where=allowance > 0)
+    sums[1] += _bin_sums(np.square(terms, out=terms))
+    sums[0] += _bin_sums(np.multiply(added, added, out=terms))
     return noisy
+
+
+def _bin_sums(x):
+    """Per-bin sums of (M, N, C) x over blocks and channels, in the bytes of
+    x.sum(axis=(0, 2)) for fewer than 8 channels (a WAV has 1 or 2): the
+    channels in order, then the blocks in order. Summed a channel slice at
+    a time, as numpy reduces a trailing axis of length 2 one pair per inner
+    loop, 15x slower on a 1024-block stereo pass."""
+    by_block = x[:, :, 0].copy()
+    for c in range(1, x.shape[2]):
+        by_block += x[:, :, c]
+    return by_block.sum(axis=0)
 
 
 def cmd_roundtrip(args):

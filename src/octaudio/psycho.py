@@ -107,9 +107,12 @@ def tonality(block_amplitudes):
     tau = min(1, 10/(-60 dB) * log10(gmean(A^2) / amean(A^2))) on magnitudes
     floored at 1e-12, then clamped at 0. Flat spectra (and all-zero blocks)
     give 0, a single occupied bin gives 1. Leading axes are preserved.
+
+    The power is C-ordered whatever the input's layout, so each mean sums a
+    contiguous bin axis and a row's tau has the bits of that row alone.
     """
-    power = np.maximum(np.abs(np.asarray(block_amplitudes, dtype=np.float64)),
-                       AMPLITUDE_FLOOR) ** 2
+    power = np.maximum(np.abs(np.asarray(block_amplitudes, dtype=np.float64),
+                              order="C"), AMPLITUDE_FLOOR) ** 2
     # both means in the log10 domain so a flat spectrum cancels exactly
     log_gmean = np.mean(np.log10(power), axis=-1)
     flatness_db = 10.0 * (log_gmean - np.log10(np.mean(power, axis=-1)))
@@ -130,9 +133,13 @@ def _spreading_matrix(band_count, alpha):
 
 
 def band_energies(block_amplitudes, partition):
-    """Sum of squared amplitudes per Bark band. Leading axes preserved."""
+    """Sum of squared amplitudes per Bark band. Leading axes preserved.
+
+    The squares are C-ordered, so each channel's bins reach matmul as
+    contiguous rows whatever the input's layout.
+    """
     amps = np.asarray(block_amplitudes, dtype=np.float64)
-    return (amps * amps) @ partition.pooling_matrix()
+    return np.multiply(amps, amps, order="C") @ partition.pooling_matrix()
 
 
 def masking_threshold(block_amplitudes, partition, alpha=DEFAULT_ALPHA):
@@ -230,10 +237,12 @@ def psychoacoustic_noise(tensor, scale=1.0, rng_seed=0, partition=None,
         return MdctTensor(tensor.amplitudes.copy(), tensor.sample_rate_hz)
     if step is None:
         step = noise_step(tensor, partition)
-    sigma = scale * 0.5 * step
-    rng = np.random.default_rng(rng_seed)
-    eta = rng.standard_normal(tensor.amplitudes.shape) * sigma
-    return MdctTensor(tensor.amplitudes + eta, tensor.sample_rate_hz)
+    # amplitudes + z * sigma, computed in the array z is drawn into
+    noisy = np.random.default_rng(rng_seed).standard_normal(
+        tensor.amplitudes.shape)
+    noisy *= scale * 0.5 * step
+    noisy += tensor.amplitudes
+    return MdctTensor(noisy, tensor.sample_rate_hz)
 
 
 def noise_step(tensor, partition=None, alpha=DEFAULT_ALPHA,

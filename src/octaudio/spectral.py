@@ -5,7 +5,6 @@ bottom. Intensities are shown on a dB scale clipped `db_floor` dB below the
 maximum.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,9 +182,9 @@ def mean_tonality(tensor):
 
 
 def write_tonality_csv(series, block_seconds, path):
-    """CSV rows (block_index, time_seconds, tau) of a per-block series."""
+    """CSV rows (block_index, time_seconds, tau) of a per-block series, in
+    the bytes of an excel-dialect csv.writer ("\r\n" line ends)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block_index", "time_seconds", "tau"])
-        for m, tau in enumerate(series):
-            writer.writerow([m, f"{m * block_seconds:.6f}", f"{tau:.9f}"])
+        fh.write("block_index,time_seconds,tau\r\n")
+        fh.write("".join(f"{m},{m * block_seconds:.6f},{tau:.9f}\r\n"
+                         for m, tau in enumerate(series.tolist())))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -184,6 +185,52 @@ def test_roundtrip_unwritable_output_exit_2(tmp_path, capsys):
     assert_input_error(capsys)
 
 
+def reference_noise_and_report(tensor, partition, rng, args, sums):
+    """cli._add_noise_and_report and psychoacoustic_noise as whole-array
+    expressions: the bytes the report and the noise must keep."""
+    step = psycho.noise_step(tensor, partition, args.alpha, args.db_reference)
+    z = rng.standard_normal(tensor.amplitudes.shape)
+    noisy = tensor.amplitudes + z * (args.noise * 0.5 * step)
+    added = noisy - tensor.amplitudes
+    allowance = step / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = np.where(allowance > 0, (added / allowance) ** 2, 0.0)
+    sums[0] += (added * added).sum(axis=(0, 2))
+    sums[1] += normalized.sum(axis=(0, 2))
+    return noisy
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("noise", [1.0, 2.5])
+def test_noise_report_is_bitwise_the_whole_array_expressions(channels, noise):
+    # levels over 12 decades, so that the per-bin sums round by their order;
+    # silent blocks under a 1e4 dB reference have a zero allowance (the
+    # absolute threshold underflows to 0), which the report counts as 0
+    rng = np.random.default_rng(channels)
+    bands, blocks = 32, 40
+    partition = psycho.bark_partition(FS, bands)
+    args = argparse.Namespace(alpha=psycho.DEFAULT_ALPHA, db_reference=1e4,
+                              noise=noise)
+    fast, slow = np.zeros((2, bands)), np.zeros((2, bands))
+    fast_rng, slow_rng = np.random.default_rng(5), np.random.default_rng(5)
+    zero_allowance = 0
+    for _ in range(2):     # two passes into the same sums
+        level = 10.0 ** rng.uniform(-12.0, 0.0, (blocks, 1, channels))
+        level[::7] = 0.0
+        tensor = MdctTensor(
+            rng.standard_normal((blocks, bands, channels)) * level, FS)
+        noisy = cli._add_noise_and_report(tensor, partition, fast_rng, args,
+                                          fast)
+        expected = reference_noise_and_report(tensor, partition, slow_rng,
+                                              args, slow)
+        np.testing.assert_array_equal(noisy.amplitudes, expected)
+        zero_allowance += np.count_nonzero(
+            psycho.noise_step(tensor, partition, args.alpha, 1e4) == 0)
+    np.testing.assert_array_equal(fast, slow)
+    assert zero_allowance >= 2 * 6 * bands * channels
+    assert np.all(np.isfinite(fast))
+
+
 def whole_track_roundtrip(wav, out_wav, noise, seed, bands):
     """roundtrip before it ran in passes: one forward, noise and inverse over
     the whole track, with the band report from whole-track means. Returns
@@ -317,8 +364,12 @@ def whole_track_analyze(wav, out_dir, bands):
     thresholds = psycho.write_thresholds_csv(
         tensor, os.path.join(out_dir, "thresholds.csv"))
     tau = thresholds.tonality_per_block.mean(axis=1)
-    spectral.write_tonality_csv(tau, bands / tensor.sample_rate_hz,
-                                os.path.join(out_dir, "tonality.csv"))
+    block_seconds = bands / tensor.sample_rate_hz
+    with open(os.path.join(out_dir, "tonality.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)     # the bytes write_tonality_csv must match
+        writer.writerow(["block_index", "time_seconds", "tau"])
+        for m, tau_m in enumerate(tau):
+            writer.writerow([m, f"{m * block_seconds:.6f}", f"{tau_m:.9f}"])
     save_tensor(tensor, os.path.join(out_dir, "mdct.bin"))
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from octaudio.audio_io import AudioBuffer
 from octaudio.mdct import MdctTensor, mdct_forward_fast, mdct_forward_naive
-from octaudio import psycho
+from octaudio import psycho, spectral
 from octaudio.psycho import (
     CSV_CHUNK_BLOCKS,
     absolute_threshold,
@@ -215,6 +215,36 @@ def test_compute_thresholds_computes_tonality_once(monkeypatch):
     thr = compute_thresholds(harmonic_tone_tensor())
     assert calls == [(1, 8, N)]
     assert thr.tonality_per_block.shape == (8, 1)
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), channels=st.sampled_from([1, 2, 3]),
+       blocks=st.integers(1, 40), bands=st.sampled_from([8, 16, 32, 64, 128, 256]),
+       rate=st.sampled_from([8000, 16000, 22016, 32000, 44100, 48000]))
+def test_each_channel_thresholds_are_that_channel_alone(seed, channels, blocks,
+                                                        bands, rate):
+    # levels from near silence to full scale, with silent blocks, so that
+    # tonality, masking and the absolute threshold all vary by channel
+    rng = np.random.default_rng(seed)
+    level = 10.0 ** rng.uniform(-7.0, 0.0, (blocks, 1, channels))
+    level[rng.random(level.shape) < 0.1] = 0.0
+    amps = rng.standard_normal((blocks, bands, channels)) * level
+    partition = bark_partition(rate, bands)
+    alone = [compute_thresholds(
+        MdctTensor(np.ascontiguousarray(amps[:, :, c:c + 1]), rate), partition)
+        for c in range(channels)]
+    channel_major = np.ascontiguousarray(np.moveaxis(amps, 2, 0))
+    for layout in [amps, np.moveaxis(channel_major, 0, 2)]:
+        tensor = MdctTensor(layout, rate)
+        thr = compute_thresholds(tensor, partition)
+        for c, one in enumerate(alone):
+            for name in ("mask", "combined", "tonality_per_block"):
+                np.testing.assert_array_equal(getattr(thr, name)[..., c],
+                                              getattr(one, name)[..., 0], name)
+        np.testing.assert_array_equal(
+            spectral.tonality_series(tensor),
+            np.mean([one.tonality_per_block[:, 0] for one in alone], axis=0))
 
 
 def csv_writer_thresholds(tensor, path):
