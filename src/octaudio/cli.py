@@ -172,8 +172,7 @@ def cmd_analyze(args):
             write_amplitudes(mdct_fh, amps)
             thresholds = psycho.compute_thresholds(
                 tensor, partition, args.alpha, args.db_reference)
-            psycho.write_threshold_rows(csv_fh, thresholds, m0)
-            tau[m0:m1] = thresholds.tonality_per_block.mean(axis=1)
+            tau[m0:m1] = psycho.write_threshold_rows(csv_fh, thresholds, m0)
             power_peak = max(power_peak,
                              spectral.channel_mean_power(amps).max())
             amplitude_peak = max(amplitude_peak, np.abs(amps[:, :, 0]).max())

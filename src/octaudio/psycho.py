@@ -13,11 +13,11 @@ alpha, and reduced by the tonality-dependent offset
 O_j = tau*(14.5 + j) + (1 - tau)*5.5.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _decimal
 from .mdct import MdctTensor, band_center_hz
 
 # Zwicker critical-band boundaries (Hz). Clipped to Nyquist at partition time.
@@ -277,32 +277,34 @@ def write_thresholds_csv(tensor, path, partition=None, alpha=DEFAULT_ALPHA,
 
 
 def write_threshold_rows(fh, thr, first_block):
-    """Append the CSV rows of thr's blocks, numbered from first_block.
+    """Append the CSV rows of thr's blocks, numbered from first_block, and
+    return the (K,) channel-mean tonality they hold.
 
     Rows are (block, bark_band, I_abs, I_mask, combined, tau), channel-
     averaged, in the bytes of an excel-dialect csv.writer, "\r\n" line
-    ends included. Each value is formatted once: I_abs per band, tau per
-    block, and combined only where it differs from I_mask. Values are
-    formatted CSV_CHUNK_BLOCKS blocks at a time and written block by block,
-    so the rows are never held in memory whole.
+    ends included: I_abs, I_mask and combined as format(x, ".12e"), tau as
+    format(x, ".9f"). Rows are assembled CSV_CHUNK_BLOCKS blocks at a time
+    as one byte matrix, so they are never held in memory whole, and
+    combined is formatted only where it differs from I_mask.
     """
     mask = thr.mask.mean(axis=2)
     combined = thr.combined.mean(axis=2)
     tau = thr.tonality_per_block.mean(axis=1)
-    bands = [f"{j},{a:.12e}," for j, a in enumerate(thr.absolute.tolist())]
+    band = _decimal.fixed(np.arange(len(thr.absolute)), 0)
+    absolute = _decimal.scientific(thr.absolute)
+    block = _decimal.fixed(np.arange(first_block, first_block + len(mask)), 0)
+    tau_text = _decimal.fixed(tau, 9)
     for start in range(0, len(mask), CSV_CHUNK_BLOCKS):
         stop = min(start + CSV_CHUNK_BLOCKS, len(mask))
-        mask_chunk = mask[start:stop].ravel()
-        combined_chunk = combined[start:stop].ravel()
-        mask_text = [f"{v:.12e}" for v in mask_chunk.tolist()]
-        # cells hold "bark_band,I_abs,I_mask,combined," in row order
-        cells = [f"{band}{text},{text},"
-                 for band, text in zip(itertools.cycle(bands), mask_text)]
-        for k in np.flatnonzero(combined_chunk != mask_chunk).tolist():
-            cells[k] = (f"{bands[k % len(bands)]}{mask_text[k]},"
-                        f"{combined_chunk[k]:.12e},")
-        for i, tau_m in enumerate(tau[start:stop].tolist()):
-            # a block's rows share the head "m," and the tail "tau\r\n"
-            head, tail = f"{first_block + start + i},", f"{tau_m:.9f}\r\n"
-            k = i * len(bands)
-            fh.write(head + (tail + head).join(cells[k:k + len(bands)]) + tail)
+        mask_chunk = mask[start:stop]
+        differs = combined[start:stop] != mask_chunk
+        # one call, so that both fields have the same width
+        text = _decimal.scientific(np.concatenate(
+            [mask_chunk.ravel(), combined[start:stop][differs]]))
+        mask_text = text[:mask_chunk.size].reshape(mask_chunk.shape + (-1,))
+        combined_text = mask_text.copy()
+        combined_text[differs] = text[mask_chunk.size:]
+        fh.write(_decimal.csv_rows(
+            block[start:stop, np.newaxis], band, absolute, mask_text,
+            combined_text, tau_text[start:stop, np.newaxis]))
+    return tau

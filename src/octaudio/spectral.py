@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _decimal
 from .errors import IoError, ShapeError
 from .psycho import tonality
 
@@ -183,8 +184,12 @@ def mean_tonality(tensor):
 
 def write_tonality_csv(series, block_seconds, path):
     """CSV rows (block_index, time_seconds, tau) of a per-block series, in
-    the bytes of an excel-dialect csv.writer ("\r\n" line ends)."""
+    the bytes of an excel-dialect csv.writer ("\r\n" line ends): time as
+    format(m * block_seconds, ".6f"), tau as format(x, ".9f")."""
+    blocks = np.arange(len(series))
     with open(path, "w", newline="") as fh:
         fh.write("block_index,time_seconds,tau\r\n")
-        fh.write("".join(f"{m},{m * block_seconds:.6f},{tau:.9f}\r\n"
-                         for m, tau in enumerate(series.tolist())))
+        fh.write(_decimal.csv_rows(
+            _decimal.fixed(blocks, 0),
+            _decimal.fixed(blocks * block_seconds, 6),
+            _decimal.fixed(series, 9)))

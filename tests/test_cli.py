@@ -36,6 +36,7 @@ from octaudio.nn.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from test_psycho import csv_writer_thresholds
 
 FS = 22016
 
@@ -43,6 +44,18 @@ FS = 22016
 def write_tone(path, freq=440.0, seconds=0.5, amp=0.5, fs=FS):
     t = np.arange(int(fs * seconds)) / fs
     write_wav(AudioBuffer(amp * np.sin(2 * np.pi * freq * t), fs), path)
+
+
+def write_float_wav(path, samples, fs=FS):
+    """A 32-bit float WAV of (T, C) samples; write_wav writes 16-bit PCM."""
+    samples = np.asarray(samples, dtype="<f4")
+    channels = samples.shape[1]
+    data = samples.tobytes()
+    fmt = struct.pack("<IHHIIHH", 16, 3, channels, fs, fs * 4 * channels,
+                      4 * channels, 32)
+    chunks = b"fmt " + fmt + b"data" + struct.pack("<I", len(data)) + data
+    pathlib.Path(path).write_bytes(
+        b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
 
 
 def read_pgm(path):
@@ -102,13 +115,10 @@ def assert_input_error(capsys):
 
 
 def test_analyze_non_finite_float_wav_exit_2(tmp_path, capsys):
-    samples = np.sin(np.arange(4096) / 10.0).astype("<f4")
+    samples = np.sin(np.arange(4096) / 10.0)[:, np.newaxis]
     samples[1000] = np.nan
-    data = samples.tobytes()
-    fmt = struct.pack("<IHHIIHH", 16, 3, 1, FS, FS * 4, 4, 32)
-    chunks = b"fmt " + fmt + b"data" + struct.pack("<I", len(data)) + data
     wav = tmp_path / "nan.wav"
-    wav.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+    write_float_wav(wav, samples)
     out = tmp_path / "out"
     assert main(["analyze", str(wav), str(out)]) == 2
     assert_input_error(capsys)
@@ -351,7 +361,8 @@ ANALYZE_OUTPUTS = ("spectrogram.pgm", "signed_amplitudes.pgm", "thresholds.csv",
 
 def whole_track_analyze(wav, out_dir, bands):
     """analyze before it ran in passes: one forward transform of the whole
-    track, from which every output is written."""
+    track, from which every output is written, the CSVs row by row through
+    csv.writer."""
     buf = read_wav(wav)
     usable = len(buf) // bands * bands
     buf = AudioBuffer(buf.samples[:usable], buf.sample_rate_hz)
@@ -361,7 +372,7 @@ def whole_track_analyze(wav, out_dir, bands):
                          os.path.join(out_dir, "spectrogram.pgm"))
     spectral.signed_db_image(tensor,
                              os.path.join(out_dir, "signed_amplitudes.pgm"))
-    thresholds = psycho.write_thresholds_csv(
+    thresholds = csv_writer_thresholds(
         tensor, os.path.join(out_dir, "thresholds.csv"))
     tau = thresholds.tonality_per_block.mean(axis=1)
     block_seconds = bands / tensor.sample_rate_hz
@@ -383,6 +394,12 @@ def check_chunked_analyze(tmp, chunk_blocks, blocks, channels, seed, bands=16,
                                            channels))
     wav = os.path.join(tmp, "in.wav")
     write_wav(AudioBuffer(samples, FS), wav)
+    check_analyze_matches_whole_track(tmp, wav, chunk_blocks, bands)
+
+
+def check_analyze_matches_whole_track(tmp, wav, chunk_blocks, bands):
+    """analyze in passes of chunk_blocks blocks writes the whole-track
+    chain's five files, byte for byte."""
     chunked, whole = os.path.join(tmp, "chunked"), os.path.join(tmp, "whole")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "ROUNDTRIP_CHUNK_BLOCKS", chunk_blocks)
@@ -419,6 +436,27 @@ def test_chunked_analyze_matches_whole_track(chunk_blocks, blocks, channels,
     with tempfile.TemporaryDirectory() as tmp:
         check_chunked_analyze(tmp, chunk_blocks, blocks, channels, seed, bands,
                               extra_samples, level)
+
+
+@pytest.mark.parametrize("channels", [1, 2])    # read_wav's channel counts
+def test_analyze_silent_and_near_subnormal_blocks_match_whole_track(
+        tmp_path, channels):
+    # Digitally silent stretches, where I_mask is 0 and combined is I_abs,
+    # and stretches near 1e-40 full scale (float32 subnormals), where I_mask
+    # reaches about e-89: the zero and far-exponent cases of the formatter
+    bands = 16
+    levels = np.repeat([0.3, 0.0, 1e-40, 0.3, 3e-41, 0.0, 1e-3, 1e-40], 5)
+    rng = np.random.default_rng(channels)
+    samples = (np.repeat(levels, bands)[:, np.newaxis]
+               * rng.standard_normal((len(levels) * bands, channels)))
+    wav = tmp_path / "in.wav"
+    write_float_wav(wav, samples)
+    check_analyze_matches_whole_track(str(tmp_path), str(wav), 7, bands)
+    with open(tmp_path / "chunked" / "thresholds.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    silent = [r for r in rows if r["I_mask"] == "0.000000000000e+00"]
+    assert silent and all(r["combined"] == r["I_abs"] for r in silent)
+    assert min(float(r["I_mask"]) for r in rows if r not in silent) < 1e-85
 
 
 def test_analyze_tonality_once_per_pass(tmp_path, monkeypatch):

@@ -248,7 +248,8 @@ def test_each_channel_thresholds_are_that_channel_alone(seed, channels, blocks,
 
 
 def csv_writer_thresholds(tensor, path):
-    """write_thresholds_csv as a per-row csv.writer loop: the byte oracle."""
+    """write_thresholds_csv as a per-row csv.writer loop: the byte oracle.
+    Returns the thresholds, as write_thresholds_csv does."""
     partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
     thr = compute_thresholds(tensor, partition)
     mask = thr.mask.mean(axis=2)
@@ -266,6 +267,7 @@ def csv_writer_thresholds(tensor, path):
                     f"{combined[m, j]:.12e}",
                     f"{tau[m]:.9f}",
                 ])
+    return thr
 
 
 @pytest.mark.parametrize("blocks, channels", [
