@@ -47,11 +47,11 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 
-# Blocks per pass of analyze's and roundtrip's loops over the track. A pass
-# holds a few (K, N, C) arrays. On 60 s of 22016 Hz stereo at 128 bands,
-# roundtrip adds 63 MB to the process's peak RSS at 1024 blocks (42 MB of
-# it the (T, C) input and output), 127 MB at 4096 and 175 MB in one pass.
-ROUNDTRIP_CHUNK_BLOCKS = 1024
+# Blocks per pass of the DSP commands' loops over the track. A pass holds a
+# few (K, N, C) arrays. On 60 s of 22016 Hz stereo at 128 bands, roundtrip
+# adds 63 MB to the process's peak RSS at 1024 blocks (42 MB of it the
+# (T, C) input and output), 127 MB at 4096 and 175 MB in one pass.
+PASS_BLOCKS = 1024
 
 
 class _UsageError(Exception):
@@ -102,10 +102,9 @@ def _int_list(text):
 _int_list.__name__ = "integer list"     # argparse: "invalid integer list value"
 
 
-def _read_trimmed(wav_path, band_count, multiple=1):
-    """Read a WAV and trim it to a multiple of band_count * multiple samples."""
+def _read_trimmed(wav_path, chunk):
+    """Read a WAV and trim it to a multiple of chunk samples."""
     buf = audio_io.read_wav(wav_path)
-    chunk = band_count * multiple
     usable = (len(buf) // chunk) * chunk
     if usable == 0:
         raise ShapeError(
@@ -114,8 +113,9 @@ def _read_trimmed(wav_path, band_count, multiple=1):
     return audio_io.AudioBuffer(buf.samples[:usable], buf.sample_rate_hz)
 
 
-def _pass_bounds(num_blocks):
-    """(m0, m1) block ranges of ROUNDTRIP_CHUNK_BLOCKS blocks, in order.
+def _pass_bounds(num_blocks, unit=1):
+    """(m0, m1) block ranges of PASS_BLOCKS blocks, rounded up to a
+    multiple of unit, in order.
 
     Only a one-block track has a one-block pass: numpy multiplies a one-row
     matrix through gemv, which sums in another order than the whole
@@ -124,20 +124,22 @@ def _pass_bounds(num_blocks):
     can also round a row by the call's shape: its small-matrix kernel
     differs in the last of 25 Bark bands, which no pass size avoids.)
     """
-    starts = list(range(0, num_blocks, max(ROUNDTRIP_CHUNK_BLOCKS, 2)))
+    size = -(-max(PASS_BLOCKS, 2) // unit) * unit
+    starts = list(range(0, num_blocks, size))
     if len(starts) > 1 and starts[-1] == num_blocks - 1:
         starts.pop()
     return zip(starts, starts[1:] + [num_blocks])
 
 
-def _forward_passes(buf, bands):
+def _forward_passes(buf, bands, unit=1):
     """(m0, m1, tensor): the forward MDCT of blocks [m0, m1) of a trimmed
     buffer, pass by pass, equal to those blocks of the whole-track
     transform. Block m reads samples [mN - N/2, mN + 3N/2), so a pass
-    transforms one extra block on each side and drops them."""
+    transforms one extra block on each side and drops them. Pass bounds
+    are multiples of unit blocks, which must divide the block count."""
     samples, rate = buf.samples, buf.sample_rate_hz
     num_blocks = len(samples) // bands
-    for m0, m1 in _pass_bounds(num_blocks):
+    for m0, m1 in _pass_bounds(num_blocks, unit):
         lo, hi = max(m0 - 1, 0), min(m1 + 1, num_blocks)
         wide = mdct_forward_fast(
             audio_io.AudioBuffer(samples[lo * bands:hi * bands], rate), bands)
@@ -229,7 +231,7 @@ def _bin_sums(x):
 
 
 def cmd_roundtrip(args):
-    """Forward, noise and inverse in passes of ROUNDTRIP_CHUNK_BLOCKS blocks.
+    """Forward, noise and inverse in passes of PASS_BLOCKS blocks.
 
     Every stage is exact per block, so only the (T, C) input and output
     grow with the track. A pass's inverse laps onto the previous pass's
@@ -271,20 +273,34 @@ def cmd_roundtrip(args):
 
 
 def cmd_reduce(args):
-    bands = args.bands
-    if bands % 2 ** args.folds:       # before 2**folds sizes anything
-        raise ShapeError(f"{bands} bands do not halve {args.folds} times")
-    buf = _read_trimmed(args.wav, bands, multiple=2 ** args.folds)
-    tensor = mdct_forward_fast(buf, bands)
-    spec = spectral.spectrogram(tensor)
-    reduced = spectral.reduce_spectrogram(spec, args.folds)
+    """Octave-folded levels of the channel-mean power, pass by pass.
+
+    Passes are whole multiples of 2^folds blocks, so each reduces to
+    exactly its rows [m0 / 2^k, m1 / 2^k) of level k: blur_time pairs
+    blocks within the pass and fold_frequency works per block. Only each
+    level's channel-mean grid outlives a pass; each PGM is then drawn a
+    slice of columns at a time with its level's peak.
+    """
+    bands, folds = args.bands, args.folds
+    if folds >= bands.bit_length():     # before 2**folds sizes anything
+        raise ShapeError(f"{bands} bands do not halve {folds} times")
+    buf = _read_trimmed(args.wav, bands * 2 ** folds)
+    num_blocks = len(buf) // bands
+    grids = [np.empty((num_blocks >> k, bands >> k)) for k in range(folds + 1)]
+    for m0, m1, tensor in _forward_passes(buf, bands, 2 ** folds):
+        reduced = spectral.reduce_spectrogram(spectral.spectrogram(tensor), folds)
+        for k, values in enumerate(reduced.levels):
+            grids[k][m0 >> k:m1 >> k] = values.mean(axis=2)
     os.makedirs(args.out_dir, exist_ok=True)
-    for level, values in enumerate(reduced.levels):
+    for level, grid in enumerate(grids):
+        peak = grid.max(initial=0.0)
+        pixels = np.empty(grid.shape[::-1], dtype=np.uint8)
+        for c0, c1 in _pass_bounds(len(grid)):
+            pixels[:, c0:c1] = spectral.db_pixels(grid[c0:c1], args.db_floor,
+                                                  peak)
         path = os.path.join(args.out_dir, f"level_{level}.pgm")
-        spectral.write_pgm(
-            spectral.db_pixels(values.mean(axis=2), args.db_floor), path
-        )
-        say(f"level_{level}: {values.shape[0]} x {values.shape[1]} -> {path}")
+        spectral.write_pgm(pixels, path)
+        say(f"level_{level}: {grid.shape[0]} x {grid.shape[1]} -> {path}")
     return EXIT_OK
 
 
@@ -471,7 +487,7 @@ def main(argv=None):
     except (ParseError, UnsupportedFormat, IoError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ShapeError, DivergenceError, ValueError) as exc:
+    except (ShapeError, DivergenceError, ValueError, MemoryError) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -167,7 +167,8 @@ def init_params(shapes, rng):
 
 
 def count_params(shapes):
-    return int(sum(np.prod(s) for s in shapes.values()))
+    """Total parameter count, exact in Python ints (np.prod wraps in int64)."""
+    return sum(math.prod(s) for s in shapes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +199,10 @@ def discriminator_block(x, params, prefix):
         raise ShapeError(f"band count {bands} must be divisible by 4")
     if x.shape[1] % 4:
         raise ShapeError(f"block count {x.shape[1]} must be divisible by 4")
-    half = bands // 2
-    lower = slice_bands(x, 0, half)
-    upper = slice_bands(x, half, bands)
+    quarter = bands // 4
+    low_keep = slice_bands(x, 0, quarter)
+    low_top = slice_bands(x, quarter, 2 * quarter)
+    upper = slice_bands(x, 2 * quarter, bands)
     analyzed = conv2d(
         upper, params[f"{prefix}.octave.W"], params[f"{prefix}.octave.b"], (1, 2)
     )
@@ -208,8 +210,6 @@ def discriminator_block(x, params, prefix):
     balanced = conv2d(
         analyzed, params[f"{prefix}.balance.W"], params[f"{prefix}.balance.b"], (1, 1)
     )
-    low_keep = slice_bands(lower, 0, half // 2)
-    low_top = slice_bands(lower, half // 2, half)
     merged = concat_bands(low_keep, ad.add(low_top, balanced))
     out = conv2d(
         merged, params[f"{prefix}.time.W"], params[f"{prefix}.time.b"], (4, 1)

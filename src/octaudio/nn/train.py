@@ -132,7 +132,7 @@ def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng):
     (grad_x,) = ad.grad(
         ad.sum_along(discriminator_fn(xhat)), [xhat], create_graph=True
     )
-    norm = ad.power(ad.sum_along(ad.power(grad_x, 2.0), axis=(1, 2, 3)), 0.5)
+    norm = ad.sqrt(ad.sum_along(ad.power(grad_x, 2.0), axis=(1, 2, 3)))
     penalty = ad.mean(ad.power(ad.sub(norm, 1.0), 2.0))
 
     wasserstein = float(np.mean(d_real.data) - np.mean(d_fake.data))

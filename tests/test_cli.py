@@ -20,7 +20,7 @@ from octaudio import cli, psycho, spectral
 from octaudio.audio_io import AudioBuffer, read_wav, write_wav
 from octaudio.cli import main
 from octaudio.config import load_config
-from octaudio.errors import ConfigError
+from octaudio.errors import ConfigError, ShapeError
 from octaudio.mdct import (
     MdctTensor,
     mdct_forward_fast,
@@ -59,7 +59,8 @@ def write_float_wav(path, samples, fs=FS):
 
 
 def read_pgm(path):
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     assert blob.startswith(b"P5\n")
     header, rest = blob.split(b"255\n", 1)
     dims = header.split(b"\n")[1].split()
@@ -285,7 +286,7 @@ def check_chunked_roundtrip(tmp, chunk_blocks, blocks, channels, noise, seed,
     chunked, whole = os.path.join(tmp, "chunked.wav"), os.path.join(tmp, "whole.wav")
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(cli, "ROUNDTRIP_CHUNK_BLOCKS", chunk_blocks)
+        mp.setattr(cli, "PASS_BLOCKS", chunk_blocks)
         mp.setenv("OCTAUDIO_VERBOSE", "0")
         assert main(["roundtrip", wav, chunked, "--noise", str(noise),
                      "--seed", str(seed), "--bands", str(bands)]) == 0
@@ -324,7 +325,7 @@ def test_roundtrip_thresholds_once_per_pass(tmp_path, capsys, monkeypatch):
     wav = tmp_path / "in.wav"
     write_tone(wav, seconds=2.0)
     blocks = int(FS * 2.0) // 128
-    monkeypatch.setattr(cli, "ROUNDTRIP_CHUNK_BLOCKS", 100)
+    monkeypatch.setattr(cli, "PASS_BLOCKS", 100)
     calls = []
     compute_thresholds = psycho.compute_thresholds
     monkeypatch.setattr(psycho, "compute_thresholds",
@@ -402,7 +403,7 @@ def check_analyze_matches_whole_track(tmp, wav, chunk_blocks, bands):
     chain's five files, byte for byte."""
     chunked, whole = os.path.join(tmp, "chunked"), os.path.join(tmp, "whole")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "ROUNDTRIP_CHUNK_BLOCKS", chunk_blocks)
+        mp.setattr(cli, "PASS_BLOCKS", chunk_blocks)
         mp.setenv("OCTAUDIO_VERBOSE", "0")
         assert main(["analyze", wav, chunked, "--bands", str(bands)]) == 0
     whole_track_analyze(wav, whole, bands)
@@ -469,7 +470,7 @@ def test_analyze_tonality_once_per_pass(tmp_path, monkeypatch):
 
     monkeypatch.setattr(psycho, "tonality", counted)
     monkeypatch.setattr(spectral, "tonality", counted)
-    monkeypatch.setattr(cli, "ROUNDTRIP_CHUNK_BLOCKS", 100)
+    monkeypatch.setattr(cli, "PASS_BLOCKS", 100)
     wav = tmp_path / "t.wav"
     write_tone(wav, seconds=2.0)
     blocks = int(FS * 2.0) // 128
@@ -532,6 +533,117 @@ def test_reduce_too_many_folds_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("compute error: ") and err.count("\n") == 1
     assert "halve" in err
+    # 2^(10^9) alone is a 125 MB integer: folds is checked before any power
+    tracemalloc.start()
+    try:
+        assert main(["reduce", str(wav), str(tmp_path / "r"),
+                     "--folds", "1000000000"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("compute error: ") and err.count("\n") == 1
+    assert peak < 10 * 2 ** 20, peak
+
+
+def whole_track_reduce(wav, out_dir, bands, folds):
+    """reduce before it ran in passes: the forward transform, spectrogram
+    and every level of the whole track at once, each level drawn whole."""
+    buf = read_wav(wav)
+    chunk = bands * 2 ** folds
+    usable = len(buf) // chunk * chunk
+    tensor = mdct_forward_fast(
+        AudioBuffer(buf.samples[:usable], buf.sample_rate_hz), bands)
+    reduced = spectral.reduce_spectrogram(spectral.spectrogram(tensor), folds)
+    os.makedirs(out_dir, exist_ok=True)
+    for level, values in enumerate(reduced.levels):
+        spectral.write_pgm(
+            spectral.db_pixels(values.mean(axis=2)),
+            os.path.join(out_dir, f"level_{level}.pgm"))
+
+
+def check_chunked_reduce(tmp, chunk_blocks, blocks, channels, folds, seed,
+                         bands=16, extra_samples=5, level=0.3):
+    """Run reduce in passes of chunk_blocks blocks (rounded up to whole
+    2^folds units) on a seeded signal of `blocks` blocks plus a tail, and
+    compare its level_*.pgm bytes, or its exit 3, with the whole-track
+    chain's."""
+    rng = np.random.default_rng(seed)
+    samples = level * rng.standard_normal((blocks * bands + extra_samples,
+                                           channels))
+    wav = os.path.join(tmp, "in.wav")
+    write_wav(AudioBuffer(samples, FS), wav)
+    chunked, whole = os.path.join(tmp, "chunked"), os.path.join(tmp, "whole")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "PASS_BLOCKS", chunk_blocks)
+        mp.setenv("OCTAUDIO_VERBOSE", "0")
+        code = main(["reduce", wav, chunked, "--bands", str(bands),
+                     "--folds", str(folds)])
+    if bands < 2 ** (folds + 1):     # the last fold would split a band
+        with pytest.raises(ShapeError):
+            whole_track_reduce(wav, whole, bands, folds)
+        assert code == 3
+        return
+    assert code == 0
+    whole_track_reduce(wav, whole, bands, folds)
+    assert sorted(os.listdir(chunked)) == sorted(os.listdir(whole))
+    assert len(os.listdir(whole)) == folds + 1
+    for name in os.listdir(whole):
+        with open(os.path.join(chunked, name), "rb") as a, \
+                open(os.path.join(whole, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+@pytest.mark.parametrize("folds", [0, 1, 2, 3])
+@pytest.mark.parametrize("chunk_blocks", [1, 3, K])
+@pytest.mark.parametrize("blocks", [8, 8 * K + 5])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_reduce_pass_boundaries_match_whole_track(tmp_path, folds, chunk_blocks,
+                                                  blocks, channels):
+    check_chunked_reduce(str(tmp_path), chunk_blocks, blocks, channels, folds,
+                         seed=3)
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(chunk_blocks=st.integers(1, 9), folds=st.integers(0, 3),
+       extra_blocks=st.integers(0, 30), channels=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2 ** 32 - 1), bands=st.sampled_from([8, 16, 32]),
+       extra_samples=st.integers(0, 7),
+       level=st.sampled_from([0.0, 1e-4, 0.3]))
+@example(chunk_blocks=1, folds=3, extra_blocks=9, channels=2, seed=0,
+         bands=16, extra_samples=3, level=0.0)
+def test_chunked_reduce_matches_whole_track(chunk_blocks, folds, extra_blocks,
+                                            channels, seed, bands,
+                                            extra_samples, level):
+    # Pass sizes that 2^folds does not divide are rounded up to a multiple
+    # of it; level 0.0 is an all-zero track, drawn through the zero peak.
+    with tempfile.TemporaryDirectory() as tmp:
+        check_chunked_reduce(tmp, chunk_blocks, 2 ** folds + extra_blocks,
+                             channels, folds, seed, bands, extra_samples, level)
+
+
+def reduce_peak_bytes(tmp_path, seconds):
+    """tracemalloc peak of one reduce --folds 2 of a seeded stereo WAV."""
+    rng = np.random.default_rng(0)
+    wav, out = tmp_path / f"in{seconds}.wav", tmp_path / f"out{seconds}"
+    write_wav(AudioBuffer(0.1 * rng.standard_normal((FS * seconds, 2)), FS), wav)
+    tracemalloc.start()
+    try:
+        assert main(["reduce", str(wav), str(out), "--folds", "2"]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reduce_peak_grows_with_input_and_levels_only(tmp_path, capsys):
+    # the (T, C) float64 input and the levels' float64 channel-mean grids
+    # grow with the track, (1 + 1/4 + 1/16) / 2 = 0.66x the input in stereo;
+    # nothing else should (1.88x measured, the 10 s track's last pass being
+    # shorter than a full one)
+    growth = reduce_peak_bytes(tmp_path, 40) - reduce_peak_bytes(tmp_path, 10)
+    input_growth = FS * (40 - 10) * 2 * 8
+    assert growth <= 2 * input_growth, growth / input_growth
 
 
 def test_shapes_published_95s_model(capsys):
@@ -555,6 +667,14 @@ def test_shapes_zero_blocks_echoes_seed(capsys):
 
 def test_shapes_bad_seed_exit_1(capsys):
     assert main(["shapes", "--seed", "banana"]) == 1
+
+
+def test_shapes_parameter_count_is_exact(capsys):
+    # 10^16 latents x 1024 seed units is past int64; the other generator
+    # parameters of this model number 218,434
+    assert main(["shapes", "--latent", "10000000000000000", "--blocks", "1"]) == 0
+    assert ("generator parameters:     10,240,000,000,000,218,434\n"
+            in capsys.readouterr().out)
 
 
 def test_shapes_too_many_blocks_exit_1(capsys):
@@ -709,6 +829,18 @@ def test_train_bad_config_exit_1(tmp_path, capsys):
         assert main(["train", str(config), "--out-dir", str(run_dir)]) == 1, new
         assert capsys.readouterr().err.startswith("config error: "), new
         assert not run_dir.exists()
+
+
+def test_train_out_of_memory_is_compute_error(tmp_path, capsys):
+    # a batch of 10^15 asks numpy for petabytes, more than any address
+    # space, so no overcommit policy grants it
+    config = tmp_path / "big.ini"
+    write_toy_config(config)
+    config.write_text(config.read_text().replace(
+        "batch_size = 2", "batch_size = 1000000000000000"))
+    assert main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("compute error: ") and err.count("\n") == 1
 
 
 def test_train_missing_config_exit_1(tmp_path):
