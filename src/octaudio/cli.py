@@ -83,7 +83,11 @@ def _checked(kind, ok, rule):
     return convert
 
 
-_BANDS = _checked(int, lambda v: v >= 8 and not v & (v - 1), "a power of two >= 8")
+# a WAV's data chunk holds fewer than 2^31 samples, so more bands than this
+# leave no whole block, and their products need not be formatted
+MAX_BANDS = 2 ** 30
+_BANDS = _checked(int, lambda v: 8 <= v <= MAX_BANDS and not v & (v - 1),
+                  f"a power of two in 8..{MAX_BANDS}")
 _COUNT = _checked(int, lambda v: v >= 1, "a positive integer")
 _NATURAL = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _RATE = _checked(int, lambda v: 1 <= v <= audio_io.MAX_SAMPLE_RATE_HZ,
@@ -136,14 +140,16 @@ def _forward_passes(buf, bands, unit=1):
     buffer, pass by pass, equal to those blocks of the whole-track
     transform. Block m reads samples [mN - N/2, mN + 3N/2), so a pass
     transforms one extra block on each side and drops them. Pass bounds
-    are multiples of unit blocks, which must divide the block count."""
+    are multiples of unit blocks, which must divide the block count.
+    No local holds a pass while the next one is computed; the loops over
+    the passes delete theirs at the end of each pass."""
     samples, rate = buf.samples, buf.sample_rate_hz
     num_blocks = len(samples) // bands
     for m0, m1 in _pass_bounds(num_blocks, unit):
         lo, hi = max(m0 - 1, 0), min(m1 + 1, num_blocks)
-        wide = mdct_forward_fast(
-            audio_io.AudioBuffer(samples[lo * bands:hi * bands], rate), bands)
-        yield m0, m1, MdctTensor(wide.amplitudes[m0 - lo:m1 - lo], rate)
+        yield m0, m1, MdctTensor(mdct_forward_fast(
+            audio_io.AudioBuffer(samples[lo * bands:hi * bands], rate),
+            bands).amplitudes[m0 - lo:m1 - lo], rate)
 
 
 def cmd_analyze(args):
@@ -178,6 +184,7 @@ def cmd_analyze(args):
             power_peak = max(power_peak,
                              spectral.channel_mean_power(amps).max())
             amplitude_peak = max(amplitude_peak, np.abs(amps[:, :, 0]).max())
+            del tensor, amps, thresholds
     spectral.write_tonality_csv(tau, bands / rate,
                                 os.path.join(args.out_dir, "tonality.csv"))
 
@@ -255,7 +262,8 @@ def cmd_roundtrip(args):
         begin = m0 * bands - half if m0 else 0
         end = m1 * bands - half if m1 < num_blocks else len(samples)
         out[begin:end] = lapped.samples[begin - first:end - first]
-        previous = noisy[-1:]
+        previous = noisy[-1:].copy()    # a view would keep the whole pass
+        del tensor, noisy, lapped
     audio_io.write_wav(audio_io.AudioBuffer(out, rate), args.out_wav)
 
     pool = partition.pooling_matrix()
@@ -291,6 +299,7 @@ def cmd_reduce(args):
         reduced = spectral.reduce_spectrogram(spectral.spectrogram(tensor), folds)
         for k, values in enumerate(reduced.levels):
             grids[k][m0 >> k:m1 >> k] = values.mean(axis=2)
+        del tensor, reduced, values
     os.makedirs(args.out_dir, exist_ok=True)
     for level, grid in enumerate(grids):
         peak = grid.max(initial=0.0)
@@ -379,7 +388,9 @@ def cmd_train(args):
 
 def _write_sample(z, params, cfg, sample_rate, path):
     """Generate from one (1, latent_dim) latent, invert and write to path.
-    No array outlives the call."""
+    No array outlives the call. Under no_grad the generator runs its last
+    block in tiles, so the peak grows with the previous block's output and
+    the output amplitudes, not with the last block's activations."""
     with ad.no_grad():
         amplitudes = generator(ad.constant(z), params, cfg).data[0]
     audio_io.write_wav(mdct_inverse(MdctTensor(amplitudes, sample_rate)), path)
@@ -389,8 +400,11 @@ def cmd_sample(args):
     """Draw, generate, invert and write one sample at a time.
 
     Sampling memory does not grow with --count: nothing is held from one
-    sample to the next. Sample i's latent is row i of the batch draw
-    rng.standard_normal((count, latent_dim)), drawn as its own row.
+    sample to the next. Within a sample it grows with the previous block's
+    output and the output amplitudes, not with the last block's
+    activations (see _write_sample). Sample i's latent is row i of the
+    batch draw rng.standard_normal((count, latent_dim)), drawn as its own
+    row.
     """
     params, cfg, iteration, extra = load_checkpoint(args.checkpoint)
     sample_rate = extra.get("sample_rate_hz", args.sample_rate)

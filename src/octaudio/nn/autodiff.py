@@ -33,6 +33,11 @@ class no_grad:
         return False
 
 
+def recording():
+    """True unless under no_grad: new ops may record graph edges."""
+    return _GRAD_ENABLED
+
+
 class Tensor:
     """An array plus the recipe for propagating adjoints to its parents."""
 

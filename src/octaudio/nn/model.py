@@ -39,6 +39,12 @@ GRID_CAP = 2 ** 31         # output entries: blocks x bands x channels
 KERNEL_TIME = (8, 3)       # stride (4, 1)
 KERNEL_OCTAVE = (1, 4)     # stride (1, 2)
 
+# Input rows of the last generator block per tile outside a recorded graph:
+# 128 output blocks. Bit identity with the whole array depends on the size,
+# since dgemm rounds by the call's shape: 32 rows matched at one BLAS thread
+# under the SkylakeX, Haswell and Sandybridge kernels, 16 rows did not.
+TILE_ROWS = 32
+
 
 def default_channels(num_blocks):
     """Deepest-first channel schedule, halving per block, capped."""
@@ -218,15 +224,41 @@ def discriminator_block(x, params, prefix):
 
 
 def generator(z, params, cfg):
-    """Latent (B, latent_dim) -> linear amplitudes (B, M, N, output_channels)."""
+    """Latent (B, latent_dim) -> linear amplitudes (B, M, N, output_channels).
+
+    Outside a recorded graph (under ad.no_grad) the last block and the
+    output conv run over tiles of TILE_ROWS of the last block's input rows,
+    and the result is a constant. The last block is local in time: output
+    blocks [4 a0, 4 a1) read only input rows [a0 - 1, a1], so a tile reads
+    one extra row on each side, clamped to the track, and keeps its own
+    4 (a1 - a0) blocks. Memory then grows with the previous block's output
+    and the output amplitudes, not with the last block's activations.
+    While a graph is recorded there is one tile, as the graph would keep
+    every tile alive anyway.
+    """
     if z.shape[1] != cfg.latent_dim:
         raise ShapeError(f"latent dim {z.shape[1]} != {cfg.latent_dim}")
     h = dense(z, params["g.seed.W"], params["g.seed.b"])
     h = ad.reshape(h, (z.shape[0], cfg.seed_blocks, cfg.seed_bands, cfg.channels[0]))
     h = leaky_relu(h)
-    for i in range(1, cfg.num_blocks + 1):
+    for i in range(1, cfg.num_blocks):
         h = generator_block(h, params, f"g.block{i}")
-    return conv2d(h, params["g.out.W"], params["g.out.b"], (1, 1))
+
+    def top(x):
+        if cfg.num_blocks:
+            x = generator_block(x, params, f"g.block{cfg.num_blocks}")
+        return conv2d(x, params["g.out.W"], params["g.out.b"], (1, 1))
+
+    rows = h.shape[1]
+    if ad.recording() or cfg.num_blocks == 0 or rows <= TILE_ROWS:
+        return top(h)
+    out = np.empty((z.shape[0], *cfg.output_shape))
+    for a0 in range(0, rows, TILE_ROWS):
+        a1 = min(a0 + TILE_ROWS, rows)
+        lo, hi = max(a0 - 1, 0), min(a1 + 1, rows)
+        out[:, 4 * a0:4 * a1] = top(ad.slice_axis(h, 1, lo, hi)).data[
+            :, 4 * (a0 - lo):4 * (a1 - lo)]
+    return ad.constant(out)
 
 
 def discriminator(x, params, cfg):

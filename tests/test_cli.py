@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -646,6 +648,56 @@ def test_reduce_peak_grows_with_input_and_levels_only(tmp_path, capsys):
     assert growth <= 2 * input_growth, growth / input_growth
 
 
+def pass_arrays(value):
+    """The memory owners of the arrays in a pass's result: an array, or the
+    arrays in a list or in a dataclass's fields."""
+    if isinstance(value, np.ndarray):
+        yield value if value.base is None else value.base
+    elif isinstance(value, list):
+        for item in value:
+            yield from pass_arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for item in vars(value).values():
+            yield from pass_arrays(item)
+
+
+@pytest.mark.parametrize("command", ["analyze", "roundtrip", "reduce"])
+def test_pass_loops_free_each_pass_before_the_next(tmp_path, monkeypatch,
+                                                   command):
+    # when pass k + 1's forward transform starts, every array made for pass
+    # k (its amplitudes, thresholds, spectrogram levels, noisy copy and
+    # inverse) is dead: a pass loop holds one pass, not two
+    made, starts = [], []
+
+    def tracked(fn):
+        def call(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            made.extend(weakref.ref(a) for a in pass_arrays(result))
+            return result
+        return call
+
+    def forward(buf, bands):
+        starts.append(sum(ref() is not None for ref in made))
+        return tracked(mdct_forward_fast)(buf, bands)
+
+    monkeypatch.setattr(cli, "PASS_BLOCKS", 8)
+    monkeypatch.setattr(cli, "mdct_forward_fast", forward)
+    monkeypatch.setattr(cli, "mdct_inverse", tracked(mdct_inverse))
+    monkeypatch.setattr(cli, "_add_noise_and_report",
+                        tracked(cli._add_noise_and_report))
+    monkeypatch.setattr(psycho, "compute_thresholds",
+                        tracked(psycho.compute_thresholds))
+    monkeypatch.setattr(spectral, "reduce_spectrogram",
+                        tracked(spectral.reduce_spectrogram))
+    wav = tmp_path / "in.wav"
+    rng = np.random.default_rng(0)
+    write_wav(AudioBuffer(0.1 * rng.standard_normal((16 * 60, 2)), FS), wav)
+    out = tmp_path / ("o.wav" if command == "roundtrip" else "o")
+    assert main([command, str(wav), str(out), "--bands", "16"]) == 0
+    assert len(starts) == 8 and made
+    assert starts == [0] * 8
+
+
 def test_shapes_published_95s_model(capsys):
     assert main(["shapes", "--blocks", "6", "--seed", "4x2", "--latent", "512"]) == 0
     out = capsys.readouterr().out
@@ -945,6 +997,10 @@ def test_config_removed_audio_key_exit_1(tmp_path, capsys, key):
     ("analyze", "--bands", "0"),
     ("analyze", "--bands", "-8"),
     ("analyze", "--bands", "12"),
+    ("roundtrip", "--bands", str(2 * cli.MAX_BANDS)),
+    # formatting bands * 2^folds in "needs at least ... samples" once hit
+    # Python's int-to-text limit (exit 3)
+    pytest.param("reduce", "--bands", str(2 ** 14000), id="reduce---bands-2^14000"),
     ("analyze", "--alpha", "nan"),
     ("analyze", "--alpha", "0"),
     ("analyze", "--db-floor", "0"),
@@ -1086,6 +1142,24 @@ def test_sample_peak_does_not_grow_with_count(tmp_path, capsys):
     one = sample_peak_bytes(checkpoint, tmp_path / "one", 1)
     four = sample_peak_bytes(checkpoint, tmp_path / "four", 4)
     assert four <= 1.25 * one, four / one
+
+
+def test_sample_peak_grows_with_previous_block_not_last(tmp_path):
+    # the benchmark's 5-block 1024x128x2 model: each of the last block's
+    # activations over the whole clip is 32 MiB (69 MB peak before it ran
+    # in tiles); a tile's is 4 MiB, as is the previous block's output
+    cfg = ModelConfig(latent_dim=128, num_blocks=5, seed_blocks=1, seed_bands=4,
+                      channels=(128, 128, 64, 64, 32, 32), output_channels=2)
+    rng = np.random.default_rng(0)
+    params = init_params(generator_param_shapes(cfg), rng)
+    z = rng.standard_normal((1, cfg.latent_dim))
+    tracemalloc.start()
+    try:
+        cli._write_sample(z, params, cfg, FS, str(tmp_path / "s.wav"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20, peak
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

@@ -1,9 +1,18 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from octaudio.audio_io import MAX_SAMPLE_RATE_HZ
 from octaudio.errors import ConfigError, ParseError, ShapeError
 from octaudio.nn import autodiff as ad
+from octaudio.nn import model
+from octaudio.nn.layers import conv2d, dense, leaky_relu
 from octaudio.nn.model import (
     ModelConfig,
     count_params,
@@ -119,6 +128,95 @@ def test_generator_zero_weights_zero_output():
     z = ad.constant(np.zeros((2, 8)))
     out = generator(z, params, cfg)
     np.testing.assert_array_equal(out.data, 0.0)
+
+
+def whole_array_generator(z, params, cfg):
+    """generator before its last block ran in tiles: every block on the
+    whole array."""
+    h = dense(z, params["g.seed.W"], params["g.seed.b"])
+    h = ad.reshape(h, (z.shape[0], cfg.seed_blocks, cfg.seed_bands, cfg.channels[0]))
+    h = leaky_relu(h)
+    for i in range(1, cfg.num_blocks + 1):
+        h = generator_block(h, params, f"g.block{i}")
+    return conv2d(h, params["g.out.W"], params["g.out.b"], (1, 1))
+
+
+def random_generator(cfg, seed, batch=1):
+    """Generator params with nonzero biases, and a (batch, latent_dim) latent."""
+    rng = np.random.default_rng(seed)
+    params = init_params(generator_param_shapes(cfg), rng)
+    for name, p in params.items():
+        if name.endswith(".b"):
+            p.data[:] = 0.1 * rng.standard_normal(p.shape)
+    return params, ad.constant(rng.standard_normal((batch, cfg.latent_dim)))
+
+
+def assert_tiled_generator_is_whole_array(output_channels):
+    """The benchmark's sampling model (256 input rows in its last block, 8
+    tiles): sampled in tiles, bit for bit the whole-array generator."""
+    cfg = ModelConfig(latent_dim=128, num_blocks=5, seed_blocks=1, seed_bands=4,
+                      channels=(128, 128, 64, 64, 32, 32),
+                      output_channels=output_channels)
+    assert cfg.block_shape(cfg.num_blocks - 1)[0] > model.TILE_ROWS
+    params, z = random_generator(cfg, output_channels)
+    with ad.no_grad():
+        tiled = generator(z, params, cfg).data
+        whole = whole_array_generator(z, params, cfg).data
+    assert tiled.tobytes() == whole.tobytes()
+
+
+def test_tiled_generator_is_bitwise_the_whole_array():
+    # dgemm rounds by call shape, so the bytes hold at one BLAS thread only;
+    # the kernel is the caller's (CI also sets OPENBLAS_CORETYPE)
+    tests = pathlib.Path(__file__).resolve().parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from test_model import assert_tiled_generator_is_whole_array as check\n"
+            "check(2); check(1)")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(tests.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", code, str(tests)], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(tile=st.integers(1, 7), blocks=st.integers(1, 4),
+       seed_blocks=st.integers(1, 9), output_channels=st.integers(1, 2),
+       batch=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+@example(tile=7, blocks=1, seed_blocks=8, output_channels=2, batch=1, seed=0)
+@example(tile=3, blocks=2, seed_blocks=2, output_channels=1, batch=2, seed=1)
+@example(tile=5, blocks=4, seed_blocks=1, output_channels=2, batch=1, seed=2)
+def test_tiled_generator_matches_whole_array(tile, blocks, seed_blocks,
+                                             output_channels, batch, seed):
+    # the examples: a one-row last tile, a partial (2-row) last tile and
+    # 4 blocks; the property requires at least two tiles
+    rows = seed_blocks * 4 ** (blocks - 1)
+    assume(tile < rows <= 64)
+    cfg = ModelConfig(latent_dim=4, num_blocks=blocks, seed_blocks=seed_blocks,
+                      seed_bands=2, channels=(4, 3, 3, 2, 2)[:blocks + 1],
+                      output_channels=output_channels)
+    params, z = random_generator(cfg, seed, batch)
+    with pytest.MonkeyPatch.context() as mp, ad.no_grad():
+        mp.setattr(model, "TILE_ROWS", tile)
+        tiled = generator(z, params, cfg)
+        whole = whole_array_generator(z, params, cfg).data
+    assert tiled.shape == (batch, *cfg.output_shape)
+    np.testing.assert_allclose(tiled.data, whole, rtol=1e-12,
+                               atol=1e-12 * np.abs(whole).max())
+
+
+def test_recorded_generator_is_one_tile():
+    # a recorded graph would keep every tile alive, so training sees the
+    # whole array and its gradients
+    cfg = tiny_cfg(seed_blocks=9)
+    params, z = random_generator(cfg, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "TILE_ROWS", 2)
+        out = generator(z, params, cfg)
+    assert out.requires_grad
+    whole = whole_array_generator(z, params, cfg)
+    assert out.data.tobytes() == whole.data.tobytes()
 
 
 def test_discriminator_zero_input_zero_biases_zero_score():
