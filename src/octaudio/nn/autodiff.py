@@ -251,18 +251,43 @@ def permute(a, axes):
     )
 
 
+def _check_product(name, a, b):
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"{name} expects 2-D tensors")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"{name} shapes {a.shape} and {b.shape} do not align")
+
+
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul expects 2-D tensors")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not align")
+    _check_product("matmul", a, b)
     return Tensor(
         a.data @ b.data,
         (a, b),
         (
             lambda g: matmul(g, transpose2d(b)),
             lambda g: matmul(transpose2d(a), g),
+        ),
+    )
+
+
+def affine(x, w, b):
+    """x @ w + b as one node: add(matmul(x, w), b) bit for bit, at every
+    order, with the bias added in place into the fresh product."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    _check_product("affine", x, w)
+    out = x.data @ w.data
+    try:
+        out += b.data
+    except ValueError:
+        raise ShapeError(f"affine bias {b.shape} does not fit {out.shape}") from None
+    return Tensor(
+        out,
+        (x, w, b),
+        (
+            lambda g: matmul(g, transpose2d(w)),
+            lambda g: matmul(transpose2d(x), g),
+            lambda g, s=b.shape: _unbroadcast(g, s),
         ),
     )
 

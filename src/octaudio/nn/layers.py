@@ -9,10 +9,12 @@ zero-padded to a whole number of taps per stride, t = ceil(k/s), and
 regrouped by phase: offset d = tap*s + phase. ad.gather and its adjoint
 ad.scatter own the layout of the padded grid of s-cells.
 - conv2d: gather t taps of whole s-cells (each cell one deep pixel) ->
-  matmul.
+  ad.affine, the matmul with the bias added in place.
 - transposed_conv2d, its adjoint: gather t taps of single pixels ->
   matmul against the tap-reversed kernel, producing all s phases of each
-  output cell at once -> scatter the cells onto the cropped output grid.
+  output cell at once -> scatter the cells onto the cropped output grid ->
+  add the bias. A bias added before the scatter would sum its gradient in
+  another order.
 """
 
 from ..errors import ShapeError
@@ -59,8 +61,7 @@ def conv2d(x, weights, bias, strides):
 
     if (kh, kw) == (1, 1) and (sm, sk) == (1, 1):
         flat = ad.reshape(x, (batch * m * n, cin))
-        out = ad.matmul(flat, ad.reshape(weights, (cin, cout)))
-        out = ad.add(out, bias)
+        out = ad.affine(flat, ad.reshape(weights, (cin, cout)), bias)
         return ad.reshape(out, (batch, m, n, cout))
 
     w = _phase_kernel(weights, strides)
@@ -73,8 +74,8 @@ def conv2d(x, weights, bias, strides):
     patches = ad.gather(x, (th, tw), strides, pads)  # (B, Mo, No, th, tw, sm, sk, Cin)
     patches = ad.reshape(patches, (batch * mo * no, th * tw * sm * sk * cin))
     w = ad.permute(w, (0, 2, 1, 3, 4, 5))                # (th, tw, sm, sk, Cin, Cout)
-    out = ad.matmul(patches, ad.reshape(w, (th * tw * sm * sk * cin, cout)))
-    return ad.reshape(ad.add(out, bias), (batch, mo, no, cout))
+    out = ad.affine(patches, ad.reshape(w, (th * tw * sm * sk * cin, cout)), bias)
+    return ad.reshape(out, (batch, mo, no, cout))
 
 
 def transposed_conv2d(x, weights, bias, strides):
@@ -114,7 +115,7 @@ def transposed_conv2d(x, weights, bias, strides):
 
 def dense(x, weights, bias):
     """x: (B, D) @ (D, F) + bias."""
-    return ad.add(ad.matmul(x, weights), bias)
+    return ad.affine(x, weights, bias)
 
 
 def leaky_relu(x, slope=LEAKY_SLOPE):

@@ -18,6 +18,11 @@ seed reproduces losses, CSV and checkpoints bit for bit. Per iteration it
 draws the batch picks, z, the real noise, the fake noise and the
 interpolation weights u; an iteration that also updates the generator then
 draws z2 and the noise of the generator's fake.
+
+Each step's graph is dropped once its gradients are taken: the generator's
+before its Adam update, the critic's at the end of its iteration, once its
+loss is written. So no graph of one iteration is alive while the next one
+is recorded.
 """
 
 import csv
@@ -168,6 +173,8 @@ def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
 
     Raises DivergenceError (with the iteration index) if a loss goes
     non-finite, ShapeError if dataset samples do not match the model output.
+    A run that fails before writing its first row removes its losses.csv,
+    and out_dir if the run created it.
     """
     if not dataset:
         raise ConfigError("dataset is empty")
@@ -209,65 +216,80 @@ def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
     def d_fn(x):
         return discriminator(x, d_params, model_cfg)
 
+    made_dir = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "losses.csv")
     checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
     wasserstein_hist = np.zeros(train_cfg.iterations)
     tonality_hist = np.zeros(train_cfg.iterations)
 
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["iteration", "loss_D", "loss_G", "wasserstein_estimate", "gen_tonality"]
-        )
-        for it in range(1, train_cfg.iterations + 1):
-            picks = rng.integers(0, len(data), size=train_cfg.batch_size)
-            real = data[picks]
-            z = rng.standard_normal((train_cfg.batch_size, model_cfg.latent_dim))
-            with ad.no_grad():
-                fake = generator(ad.constant(z), g_params, model_cfg)
+    rows = 0
+    fh = open(csv_path, "w", newline="")
+    try:
+        with fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "loss_D", "loss_G", "wasserstein_estimate",
+                             "gen_tonality"])
+            for it in range(1, train_cfg.iterations + 1):
+                picks = rng.integers(0, len(data), size=train_cfg.batch_size)
+                real = data[picks]
+                z = rng.standard_normal((train_cfg.batch_size, model_cfg.latent_dim))
+                with ad.no_grad():
+                    fake = generator(ad.constant(z), g_params, model_cfg)
 
-            loss_d, stats = wgan_gp_losses(
-                real + noise(real), ad.add(fake, ad.constant(noise(fake.data))),
-                d_fn, train_cfg.gp_lambda, train_cfg.drift_epsilon, rng,
-            )
-            d_grads = ad.grad(loss_d, [d_params[k] for k in d_names])
-            adam_d.step(d_params, dict(zip(d_names, (g.data for g in d_grads))))
-
-            if it % train_cfg.n_critic == 0:
-                z2 = rng.standard_normal(
-                    (train_cfg.batch_size, model_cfg.latent_dim)
+                loss_d, stats = wgan_gp_losses(
+                    real + noise(real), ad.add(fake, ad.constant(noise(fake.data))),
+                    d_fn, train_cfg.gp_lambda, train_cfg.drift_epsilon, rng,
                 )
-                fake_g = generator(ad.constant(z2), g_params, model_cfg)
-                fake_g = ad.add(fake_g, ad.constant(noise(fake_g.data)))
-                loss_g = generator_loss(fake_g, d_fn)
-                g_grads = ad.grad(loss_g, [g_params[k] for k in g_names])
-                adam_g.step(g_params, dict(zip(g_names, (g.data for g in g_grads))))
-                loss_g_value = float(loss_g.data)
-            else:
-                loss_g_value = -stats["d_fake"]    # of the critic step's fake
+                d_grads = ad.grad(loss_d, [d_params[k] for k in d_names])
+                adam_d.step(d_params, dict(zip(d_names, (g.data for g in d_grads))))
 
-            gen_tau = float(np.mean(tonality(np.moveaxis(fake.data, 3, 1))))
-            if not (np.isfinite(loss_d.data) and np.isfinite(loss_g_value)):
-                raise DivergenceError(it)
+                if it % train_cfg.n_critic == 0:
+                    z2 = rng.standard_normal(
+                        (train_cfg.batch_size, model_cfg.latent_dim)
+                    )
+                    fake_g = generator(ad.constant(z2), g_params, model_cfg)
+                    fake_g = ad.add(fake_g, ad.constant(noise(fake_g.data)))
+                    loss_g = generator_loss(fake_g, d_fn)
+                    g_grads = ad.grad(loss_g, [g_params[k] for k in g_names])
+                    loss_g_value = float(loss_g.data)
+                    del fake_g, loss_g
+                    adam_g.step(g_params, dict(zip(g_names, (g.data for g in g_grads))))
+                else:
+                    loss_g_value = -stats["d_fake"]    # of the critic step's fake
 
-            wasserstein_hist[it - 1] = stats["wasserstein"]
-            tonality_hist[it - 1] = gen_tau
-            writer.writerow([
-                it,
-                f"{float(loss_d.data):.17g}",
-                f"{loss_g_value:.17g}",
-                f"{stats['wasserstein']:.17g}",
-                f"{gen_tau:.17g}",
-            ])
-            if train_cfg.checkpoint_every and it % train_cfg.checkpoint_every == 0:
-                save_checkpoint(
-                    os.path.join(out_dir, f"checkpoint_{it:06d}.bin"),
-                    {**g_params, **d_params}, model_cfg, it,
-                    extra={"sample_rate_hz": sample_rate},
-                )
-            if progress is not None:
-                progress(it, float(loss_d.data), loss_g_value)
+                gen_tau = float(np.mean(tonality(np.moveaxis(fake.data, 3, 1))))
+                if not (np.isfinite(loss_d.data) and np.isfinite(loss_g_value)):
+                    raise DivergenceError(it)
+
+                wasserstein_hist[it - 1] = stats["wasserstein"]
+                tonality_hist[it - 1] = gen_tau
+                writer.writerow([
+                    it,
+                    f"{float(loss_d.data):.17g}",
+                    f"{loss_g_value:.17g}",
+                    f"{stats['wasserstein']:.17g}",
+                    f"{gen_tau:.17g}",
+                ])
+                rows = it
+                if train_cfg.checkpoint_every and it % train_cfg.checkpoint_every == 0:
+                    save_checkpoint(
+                        os.path.join(out_dir, f"checkpoint_{it:06d}.bin"),
+                        {**g_params, **d_params}, model_cfg, it,
+                        extra={"sample_rate_hz": sample_rate},
+                    )
+                if progress is not None:
+                    progress(it, float(loss_d.data), loss_g_value)
+                # dropped here, not right after d_grads: freed there, the heap
+                # top it held is trimmed and the generator step faults it back in
+                del loss_d
+    except BaseException:
+        # a run that fails before its first row leaves no output behind
+        if not rows:
+            os.remove(csv_path)
+            if made_dir:
+                os.rmdir(out_dir)
+        raise
 
     save_checkpoint(checkpoint_path, {**g_params, **d_params}, model_cfg,
                     train_cfg.iterations, extra={"sample_rate_hz": sample_rate})

@@ -6,7 +6,9 @@ twice (once for the trend, once more for bit-for-bit determinism), which
 dominates the suite's runtime.
 """
 
+import ctypes
 import functools
+import glob
 import os
 import time
 
@@ -97,6 +99,19 @@ def pure_tone_corpus(count=64, num_blocks=64, bands=16):
         wave = amp * np.sin(2 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
         corpus.append(mdct_forward_fast(AudioBuffer(wave, TOY_FS), bands))
     return corpus
+
+
+def openblas_core():
+    """The core name numpy's bundled OpenBLAS runs, read as CI reads it, or
+    "unknown" when no bundled library exports the symbol."""
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*"):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 @pytest.fixture(scope="module")
@@ -349,12 +364,12 @@ def test_criterion_12_training_trend(toy_training):
     peak_at = int(np.argmax(smoothed))
     peak = smoothed[peak_at]
     final = smoothed[-1]
-    # the seeded trajectory depends on the BLAS thread count (README,
-    # Tests), so the line names it, and is printed before the checks
+    # the seeded trajectory depends on the BLAS kernel and thread count
+    # (README, Tests), so the line names both, and is printed before the checks
     print(f"             training wall time {elapsed / 60:.1f} min; smoothed gap "
           f"{peak:.2f} at {peak_at} -> {final:.2f}; tonality "
           f"{result.gen_tonality[0]:.3f} -> {result.gen_tonality[-1]:.3f}; "
-          f"OPENBLAS_NUM_THREADS "
+          f"OpenBLAS core {openblas_core()}, OPENBLAS_NUM_THREADS "
           f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
           f"os.cpu_count() {os.cpu_count()}")
     # the gap rises while the critic warms up, then declines as the

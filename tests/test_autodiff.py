@@ -133,6 +133,57 @@ def test_matmul_transpose_grads():
     )
 
 
+def matmul_then_add(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def two_affine_layers(affine, x, w1, b1, w2, b2, probe):
+    """out = affine(affine(x, w1, b1)^2, w2, b2); out, its gradients,
+    and the gradients of |d<out, probe>/dx|^2, as arrays."""
+    out = affine(ad.power(affine(x, w1, b1), 2.0), w2, b2)
+    params = [w1, b1, w2, b2]
+    grads = ad.grad(ad.sum_along(ad.mul(out, probe)), [x, *params],
+                    create_graph=True)
+    second = ad.grad(ad.sum_along(ad.power(grads[0], 2.0)), params)
+    plain = ad.grad(ad.sum_along(ad.mul(out, probe)), [x, *params])
+    return [out.data, *(g.data for g in grads + second + plain)]
+
+
+@pytest.mark.parametrize("bias_rows", [None, 1, 5])
+def test_affine_is_bitwise_add_of_matmul(bias_rows):
+    rng = np.random.default_rng(23)
+    x = leaf(rng, (5, 4))
+    x.data[0, 1] = -0.0
+    w1, w2 = leaf(rng, (4, 3)), leaf(rng, (3, 2))
+    w1.data[:, 0] *= 1e-200      # a product that underflows to signed zeros
+    shapes = [(3,), (2,)] if bias_rows is None else [(bias_rows, 3), (bias_rows, 2)]
+    b1, b2 = leaf(rng, shapes[0]), leaf(rng, shapes[1])
+    b1.data[..., 0] = -0.0
+    probe = ad.constant(rng.standard_normal((5, 2)))
+    got = two_affine_layers(ad.affine, x, w1, b1, w2, b2, probe)
+    want = two_affine_layers(matmul_then_add, x, w1, b1, w2, b2, probe)
+    assert len(got) == len(want)
+    for g, r in zip(got, want):
+        assert g.shape == r.shape and g.tobytes() == r.tobytes()
+
+
+def test_affine_grads():
+    rng = np.random.default_rng(24)
+    x, w, b = leaf(rng, (3, 4)), leaf(rng, (4, 2)), leaf(rng, (2,))
+    assert_grads_match(
+        lambda: ad.sum_along(ad.power(ad.affine(x, w, b), 2.0)), [x, w, b]
+    )
+
+
+def test_affine_shape_errors():
+    with pytest.raises(ShapeError):
+        ad.affine(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
+    with pytest.raises(ShapeError):
+        ad.affine(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((3, 2)))
+    with pytest.raises(ShapeError):
+        ad.affine(np.zeros(3), np.zeros((3, 2)), np.zeros(2))
+
+
 def test_permute_reshape_grads():
     rng = np.random.default_rng(6)
     a = leaf(rng, (2, 3, 4, 5))

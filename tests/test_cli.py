@@ -893,6 +893,8 @@ def test_train_out_of_memory_is_compute_error(tmp_path, capsys):
     assert main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("compute error: ") and err.count("\n") == 1
+    # it failed before its first row: no run directory, no empty losses.csv
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_missing_config_exit_1(tmp_path):
@@ -1189,3 +1191,6 @@ def test_diverging_training_exits_3_with_one_stderr_line(tmp_path):
     )
     assert result.returncode == 3
     assert result.stderr.splitlines() == ["compute error: non-finite loss at iteration 2"]
+    # the row it wrote before diverging stays
+    rows = (tmp_path / "run" / "losses.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["iteration", "1"]

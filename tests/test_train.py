@@ -1,12 +1,20 @@
+import dataclasses
+import pathlib
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octaudio.config import load_config
 from octaudio.datasets import synthetic_tone_dataset
 from octaudio.errors import ConfigError, DivergenceError, ShapeError
 from octaudio.mdct import MdctTensor
 from octaudio.nn import autodiff as ad
+from octaudio.nn import model as model_module
+from octaudio.nn.layers import _pad_before, _phase_kernel
 from octaudio.nn.model import (
     ModelConfig,
     discriminator,
@@ -423,3 +431,128 @@ def test_divergence_error_carries_iteration(tmp_path):
     with pytest.raises(DivergenceError) as exc:
         train(data, cfg, tcfg, tmp_path / "d")
     assert exc.value.iteration == 1
+    # it failed before its first row, so it leaves no run directory
+    assert not (tmp_path / "d").exists()
+    (tmp_path / "e").mkdir()
+    with pytest.raises(DivergenceError):
+        train(data, cfg, tcfg, tmp_path / "e")
+    assert list((tmp_path / "e").iterdir()) == []
+
+
+# conv2d and dense as they were before ad.affine: matmul, then add the bias
+
+def matmul_then_add_conv2d(x, weights, bias, strides):
+    batch, m, n, cin = x.shape
+    kh, kw, _, cout = weights.shape
+    sm, sk = strides
+    if (kh, kw) == (1, 1) and (sm, sk) == (1, 1):
+        flat = ad.reshape(x, (batch * m * n, cin))
+        out = ad.matmul(flat, ad.reshape(weights, (cin, cout)))
+        out = ad.add(out, bias)
+        return ad.reshape(out, (batch, m, n, cout))
+    w = _phase_kernel(weights, strides)
+    th, tw = w.shape[0], w.shape[2]
+    mo, no = -(-m // sm), -(-n // sk)
+    before_m, before_n = _pad_before(m, kh, sm), _pad_before(n, kw, sk)
+    pads = (before_m, (mo + th - 1) * sm - m - before_m,
+            before_n, (no + tw - 1) * sk - n - before_n)
+    patches = ad.gather(x, (th, tw), strides, pads)
+    patches = ad.reshape(patches, (batch * mo * no, th * tw * sm * sk * cin))
+    w = ad.permute(w, (0, 2, 1, 3, 4, 5))
+    out = ad.matmul(patches, ad.reshape(w, (th * tw * sm * sk * cin, cout)))
+    return ad.reshape(ad.add(out, bias), (batch, mo, no, cout))
+
+
+def matmul_then_add_dense(x, weights, bias):
+    return ad.add(ad.matmul(x, weights), bias)
+
+
+def critic_step_bytes(cfg, d_params, real, fake):
+    """The critic loss, its stats and its parameter gradients, as bytes."""
+    names = sorted(d_params)
+    loss_d, stats = wgan_gp_losses(
+        real, ad.constant(fake), lambda x: discriminator(x, d_params, cfg),
+        10.0, 0.001, np.random.default_rng(4))
+    grads = ad.grad(loss_d, [d_params[k] for k in names])
+    return loss_d.data.tobytes(), stats, [g.data.tobytes() for g in grads]
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(latent_dim=32, num_blocks=2, seed_blocks=4, seed_bands=4,
+                channels=(48, 24, 12), output_channels=1),
+    ModelConfig(latent_dim=4, num_blocks=1, seed_blocks=2, seed_bands=2,
+                channels=(3, 2), output_channels=2),
+], ids=["example_config", "stereo"])
+def test_critic_is_bitwise_the_matmul_then_add_layers(cfg, monkeypatch):
+    # the critic step, gradient penalty and its double backward included,
+    # gives the bytes it gave before every conv/dense layer was one affine node
+    rng = np.random.default_rng(12)
+    d_params = init_params(discriminator_param_shapes(cfg), rng)
+    for name, p in d_params.items():
+        if name.endswith(".b"):
+            p.data = 0.1 * rng.standard_normal(p.shape)
+    real = 0.1 * rng.standard_normal((8, *cfg.output_shape))
+    fake = 0.1 * rng.standard_normal(real.shape)
+    got = critic_step_bytes(cfg, d_params, real, fake)
+    monkeypatch.setattr(model_module, "conv2d", matmul_then_add_conv2d)
+    monkeypatch.setattr(model_module, "dense", matmul_then_add_dense)
+    assert critic_step_bytes(cfg, d_params, real, fake) == got
+
+
+def graph_arrays(root):
+    """Weak references to the arrays of every recorded node in root's graph."""
+    refs, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.parents:
+            continue
+        seen.add(id(node))
+        refs.append(weakref.ref(node.data))
+        stack.extend(node.parents)
+    return refs
+
+
+def test_no_graph_outlives_its_iteration(tmp_path, monkeypatch):
+    import octaudio.nn.train as train_module
+
+    graphs, alive = [], []
+
+    def critic_loss(*args):
+        # every graph of the previous iteration is gone when this one starts
+        alive.append(sum(ref() is not None for refs in graphs for ref in refs))
+        graphs.clear()
+        loss_d, stats = wgan_gp_losses(*args)
+        graphs.append(graph_arrays(loss_d))
+        return loss_d, stats
+
+    def gen_loss(*args):
+        loss_g = generator_loss(*args)
+        graphs.append(graph_arrays(loss_g))
+        return loss_g
+
+    monkeypatch.setattr(train_module, "wgan_gp_losses", critic_loss)
+    monkeypatch.setattr(train_module, "generator_loss", gen_loss)
+    data, cfg, tcfg = toy_setup(iterations=5, noise=1.0)
+    train(data, cfg, tcfg, tmp_path / "run")
+    # iterations 2 and 4 also took a generator step; the last critic graph
+    # was walked too
+    assert alive == [0] * 5
+    assert len(graphs) == 1 and len(graphs[0]) > 100
+
+
+def test_training_peak_holds_one_critic_graph(tmp_path):
+    # 6 iterations of the example config: one critic graph is about 39 MB;
+    # holding the previous iteration's graphs as well peaked at 113 MB
+    root = pathlib.Path(__file__).resolve().parent.parent
+    app = load_config(root / "examples_config.ini")
+    rng = np.random.default_rng(app.train.rng_seed)
+    dataset = synthetic_tone_dataset(rng, app.data_count, app.sample_rate_hz,
+                                     *app.model.output_shape)
+    tcfg = dataclasses.replace(app.train, iterations=6)
+    tracemalloc.start()
+    try:
+        train(dataset, app.model, tcfg, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 90e6, peak / 1e6
