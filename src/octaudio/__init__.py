@@ -29,6 +29,7 @@ from .psycho import (
     bark_partition,
     compute_thresholds,
     masking_threshold,
+    noise_sigma,
     psychoacoustic_noise,
     quantization_step,
     quantize,

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import audio_io, datasets, psycho, spectral
-from .config import AppConfig, load_config
+from .config import AppConfig, int_list, load_config
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .mdct import (
     MdctTensor,
+    channel_sum,
     mdct_forward_fast,
     mdct_inverse,
     read_amplitudes,
@@ -96,14 +97,6 @@ _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _SCALE = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 _BELOW_ZERO = _checked(float, lambda v: -math.inf < v < 0, "a finite number < 0")
 _FINITE = _checked(float, math.isfinite, "a finite number")
-
-
-def _int_list(text):
-    """argparse type: comma-separated integers, e.g. "512,256,128"."""
-    return tuple(int(part) for part in text.split(","))
-
-
-_int_list.__name__ = "integer list"     # argparse: "invalid integer list value"
 
 
 def _read_trimmed(wav_path, chunk):
@@ -179,10 +172,10 @@ def cmd_analyze(args):
             amps = tensor.amplitudes
             write_amplitudes(mdct_fh, amps)
             thresholds = psycho.compute_thresholds(
-                tensor, partition, args.alpha, args.db_reference)
+                amps, partition, args.alpha, args.db_reference)
             tau[m0:m1] = psycho.write_threshold_rows(csv_fh, thresholds, m0)
             power_peak = max(power_peak,
-                             spectral.channel_mean_power(amps).max())
+                             (channel_sum(np.square(amps)) / channels).max())
             amplitude_peak = max(amplitude_peak, np.abs(amps[:, :, 0]).max())
             del tensor, amps, thresholds
     spectral.write_tonality_csv(tau, bands / rate,
@@ -194,7 +187,8 @@ def cmd_analyze(args):
         for m0, m1 in _pass_bounds(num_blocks):
             amps = read_amplitudes(fh, m0, m1 - m0, bands, channels)
             power[:, m0:m1] = spectral.db_pixels(
-                spectral.channel_mean_power(amps), args.db_floor, power_peak)
+                channel_sum(np.square(amps)) / channels, args.db_floor,
+                power_peak)
             signed[:, m0:m1] = spectral.signed_db_pixels(
                 amps[:, :, 0], args.db_floor, amplitude_peak)
     spectral.write_pgm(power, os.path.join(args.out_dir, "spectrogram.pgm"))
@@ -210,31 +204,19 @@ def _add_noise_and_report(tensor, partition, rng, args, sums):
     """Noisy copy of tensor from one threshold computation.
 
     Adds to sums, per bin and summed over blocks and channels, the added
-    power (row 0) and its ratio to the inaudible allowance (step/2)^2, which
-    is c^2 at the design point (row 1); a bin with zero allowance adds 0.
+    power (row 0) and its ratio to the inaudible noise power sigma^2,
+    which is c^2 at the design point (row 1); a bin with zero sigma adds 0.
     """
-    step = psycho.noise_step(tensor, partition, args.alpha, args.db_reference)
+    sigma = psycho.noise_sigma(tensor.amplitudes, partition, args.alpha,
+                               args.db_reference)
     noisy = psycho.psychoacoustic_noise(tensor, scale=args.noise, rng_seed=rng,
-                                        step=step)
+                                        sigma=sigma)
     added = noisy.amplitudes - tensor.amplitudes
-    allowance = np.divide(step, 2.0, out=step)     # step is not read again
     terms = np.zeros_like(added)
-    np.divide(added, allowance, out=terms, where=allowance > 0)
-    sums[1] += _bin_sums(np.square(terms, out=terms))
-    sums[0] += _bin_sums(np.multiply(added, added, out=terms))
+    np.divide(added, sigma, out=terms, where=sigma > 0)
+    sums[1] += channel_sum(np.square(terms, out=terms)).sum(axis=0)
+    sums[0] += channel_sum(np.multiply(added, added, out=terms)).sum(axis=0)
     return noisy
-
-
-def _bin_sums(x):
-    """Per-bin sums of (M, N, C) x over blocks and channels, in the bytes of
-    x.sum(axis=(0, 2)) for fewer than 8 channels (a WAV has 1 or 2): the
-    channels in order, then the blocks in order. Summed a channel slice at
-    a time, as numpy reduces a trailing axis of length 2 one pair per inner
-    loop, 15x slower on a 1024-block stereo pass."""
-    by_block = x[:, :, 0].copy()
-    for c in range(1, x.shape[2]):
-        by_block += x[:, :, c]
-    return by_block.sum(axis=0)
 
 
 def cmd_roundtrip(args):
@@ -298,7 +280,7 @@ def cmd_reduce(args):
     for m0, m1, tensor in _forward_passes(buf, bands, 2 ** folds):
         reduced = spectral.reduce_spectrogram(spectral.spectrogram(tensor), folds)
         for k, values in enumerate(reduced.levels):
-            grids[k][m0 >> k:m1 >> k] = values.mean(axis=2)
+            grids[k][m0 >> k:m1 >> k] = channel_sum(values) / buf.channels
         del tensor, reduced, values
     os.makedirs(args.out_dir, exist_ok=True)
     for level, grid in enumerate(grids):
@@ -356,7 +338,7 @@ def _load_dataset(app: AppConfig, rng):
         samples = buf.samples
         if samples.shape[1] != c_out:
             if c_out == 1:
-                samples = samples.mean(axis=1, keepdims=True)
+                samples = (channel_sum(samples) / samples.shape[1])[:, np.newaxis]
             else:
                 samples = np.repeat(samples[:, :1], c_out, axis=1)
         buf = audio_io.AudioBuffer(samples, app.sample_rate_hz)
@@ -465,7 +447,7 @@ def build_parser():
     p.add_argument("--blocks", type=int, default=6)
     p.add_argument("--seed", default="4x2", help="seed shape MxN (default 4x2)")
     p.add_argument("--latent", type=int, default=512)
-    p.add_argument("--channels", type=_int_list, default=None,
+    p.add_argument("--channels", type=int_list, default=None,
                    help="comma-separated schedule, deepest first")
     p.add_argument("--output-channels", type=int, default=2)
     p.set_defaults(func=cmd_shapes)

@@ -47,6 +47,18 @@ from .errors import ConfigError
 from .nn.model import ModelConfig
 from .nn.train import TrainConfig
 
+
+def int_list(text):
+    """Comma-separated integers, e.g. "512, 256,128", as a tuple; blank text
+    is (). An empty item, as in "4,,2" or "4,", is a ValueError."""
+    if not text.strip():
+        return ()
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"empty item in {text!r}")
+    return tuple(int(part) for part in parts)
+
+
 _AUDIO_KEYS = {
     "sample_rate_hz": int,
     "alpha": float,
@@ -57,7 +69,7 @@ _MODEL_KEYS = {
     "num_blocks": int,
     "seed_blocks": int,
     "seed_bands": int,
-    "channels": "int_list",
+    "channels": int_list,
     "output_channels": int,
 }
 _TRAIN_KEYS = {
@@ -72,7 +84,7 @@ _TRAIN_KEYS = {
     "seed": int,
     "iterations": int,
     "checkpoint_every": int,
-    "freeze_blocks": "int_list",
+    "freeze_blocks": int_list,
 }
 _DATA_KEYS = {
     "source": str,
@@ -102,8 +114,6 @@ class AppConfig:
 
 def _convert(section, key, kind, raw):
     try:
-        if kind == "int_list":
-            return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc

@@ -56,6 +56,18 @@ class MdctTensor:
         return self.amplitudes.shape[2]
 
 
+def channel_sum(x):
+    """Sum of (..., C) x over its trailing channel axis, a channel slice at
+    a time: the bytes of x.sum(axis=-1) for fewer than 8 channels, and
+    divided by C those of x.mean(axis=-1). numpy reduces a short trailing
+    axis one pair per inner loop, 6-9x slower. The sum starts from +0.0,
+    as numpy's does, so channels that are all -0.0 sum to +0.0."""
+    total = np.zeros(x.shape[:-1])
+    for c in range(x.shape[-1]):
+        total += x[..., c]
+    return total
+
+
 def band_center_hz(sample_rate_hz, band_count, k=None):
     """Center frequency fs*(k + 1/2)/(2N) of band k (all bands if k is None)."""
     if k is None:

@@ -181,7 +181,7 @@ def _power_of_positive(a, exponent):
         lambda g: mul(g, scale(_power_of_positive(a, exponent - 1.0), exponent)),))
 
 
-def leaky_relu(a, slope=0.2):
+def leaky_relu(a, slope):
     """max(a, slope * a) for 0 < slope <= 1; the gate exists only in the vjp."""
     a = _as_tensor(a)
     out = a.data * slope

@@ -113,11 +113,6 @@ def transposed_conv2d(x, weights, bias, strides):
     return ad.add(t, bias)
 
 
-def dense(x, weights, bias):
-    """x: (B, D) @ (D, F) + bias."""
-    return ad.affine(x, weights, bias)
-
-
 def leaky_relu(x, slope=LEAKY_SLOPE):
     return ad.leaky_relu(x, slope)
 

@@ -23,7 +23,6 @@ from . import autodiff as ad
 from .layers import (
     concat_bands,
     conv2d,
-    dense,
     leaky_relu,
     minibatch_stddev,
     slice_bands,
@@ -238,7 +237,7 @@ def generator(z, params, cfg):
     """
     if z.shape[1] != cfg.latent_dim:
         raise ShapeError(f"latent dim {z.shape[1]} != {cfg.latent_dim}")
-    h = dense(z, params["g.seed.W"], params["g.seed.b"])
+    h = ad.affine(z, params["g.seed.W"], params["g.seed.b"])
     h = ad.reshape(h, (z.shape[0], cfg.seed_blocks, cfg.seed_bands, cfg.channels[0]))
     h = leaky_relu(h)
     for i in range(1, cfg.num_blocks):
@@ -275,7 +274,7 @@ def discriminator(x, params, cfg):
         h = discriminator_block(h, params, "d.block1")
     batch = x.shape[0]
     flat = ad.reshape(h, (batch, cfg.seed_blocks * cfg.seed_bands * cfg.channels[0]))
-    score = dense(flat, params["d.out.W"], params["d.out.b"])
+    score = ad.affine(flat, params["d.out.W"], params["d.out.b"])
     return ad.reshape(score, (batch,))
 
 

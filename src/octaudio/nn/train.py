@@ -37,7 +37,7 @@ from ..psycho import (
     DEFAULT_ALPHA,
     DEFAULT_DB_REFERENCE,
     bark_partition,
-    noise_step,
+    noise_sigma,
     tonality,
 )
 from . import autodiff as ad
@@ -117,8 +117,8 @@ class Adam:
 
 
 def quantization_noise_sigma(batch, partition, alpha, db_reference):
-    """Per-bin noise std = step/2 of each (B, M, N, C) sample's own thresholds."""
-    return 0.5 * noise_step(batch, partition, alpha, db_reference)
+    """Per-bin noise std of each (B, M, N, C) sample's own thresholds."""
+    return noise_sigma(batch, partition, alpha, db_reference)
 
 
 def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _decimal
-from .mdct import MdctTensor, band_center_hz
+from .mdct import MdctTensor, band_center_hz, channel_sum
 
 # Zwicker critical-band boundaries (Hz). Clipped to Nyquist at partition time.
 ZWICKER_EDGES_HZ = (
@@ -177,17 +177,14 @@ class MaskingThresholds:
     tonality_per_block: np.ndarray
 
 
-def compute_thresholds(tensor, partition=None, alpha=DEFAULT_ALPHA,
+def compute_thresholds(amplitudes, partition, alpha=DEFAULT_ALPHA,
                        db_reference=DEFAULT_DB_REFERENCE):
     """Absolute, masking and combined thresholds for every block/channel.
 
-    tensor is an MdctTensor, or amplitudes (..., M, N, C) with any leading
-    axes (partition is then required), which mask, combined and
-    tonality_per_block keep.
+    amplitudes is (..., M, N, C) with any leading axes, which mask,
+    combined and tonality_per_block keep.
     """
-    if partition is None:
-        partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
-    amps = np.moveaxis(getattr(tensor, "amplitudes", tensor), -1, -3)  # (..., C, M, N)
+    amps = np.moveaxis(amplitudes, -1, -3)    # (..., C, M, N)
     # energies before tonality: the other order left up to 9 MB more freed
     # temporaries resident in the heap and raised analyze's peak RSS
     energies = band_energies(amps, partition)
@@ -202,12 +199,9 @@ def compute_thresholds(tensor, partition=None, alpha=DEFAULT_ALPHA,
 def quantization_step(combined, partition):
     """Per-bin amplitude step: sqrt of the band intensity, broadcast to bins.
 
-    combined may be (J,) or (..., J, C); the band axis is expanded to bins.
+    combined is (..., J, C); the band axis is expanded to bins.
     """
-    combined = np.asarray(combined, dtype=np.float64)
-    steps = np.sqrt(combined)
-    if steps.ndim == 1:
-        return steps[partition.bin_to_band]
+    steps = np.sqrt(np.asarray(combined, dtype=np.float64))
     return steps[..., partition.bin_to_band, :]
 
 
@@ -221,55 +215,50 @@ def quantize(amplitudes, step):
     return out
 
 
-def psychoacoustic_noise(tensor, scale=1.0, rng_seed=0, partition=None,
-                         step=None):
-    """Add zero-mean gaussian noise with std scale * step / 2 per bin.
+def noise_sigma(amplitudes, partition, alpha=DEFAULT_ALPHA,
+                db_reference=DEFAULT_DB_REFERENCE):
+    """Per-bin std of the inaudible noise: half the quantization step of
+    each spectrum's own thresholds.
 
-    The step is the psychoacoustic quantization step of the input tensor's
-    own thresholds, so the noise is inaudible at scale = 1. A caller that
-    already holds that step (noise_step of the same tensor) may pass it to
-    skip recomputing the thresholds. Deterministic given rng_seed;
-    scale = 0 returns the input unchanged.
+    amplitudes is (..., M, N, C), as for compute_thresholds; sigma has
+    their shape.
+    """
+    thresholds = compute_thresholds(amplitudes, partition, alpha, db_reference)
+    return 0.5 * quantization_step(thresholds.combined, partition)
+
+
+def psychoacoustic_noise(tensor, scale=1.0, rng_seed=0, sigma=None):
+    """Add zero-mean gaussian noise with std scale * sigma per bin.
+
+    sigma defaults to noise_sigma of the tensor's own amplitudes, so the
+    noise is inaudible at scale = 1; a caller that already holds it passes
+    it. Deterministic given rng_seed; scale = 0 returns the input unchanged.
     """
     if scale < 0:
         raise ValueError("scale must be non-negative")
     if scale == 0.0:
         return MdctTensor(tensor.amplitudes.copy(), tensor.sample_rate_hz)
-    if step is None:
-        step = noise_step(tensor, partition)
-    # amplitudes + z * sigma, computed in the array z is drawn into
+    if sigma is None:
+        sigma = noise_sigma(tensor.amplitudes, bark_partition(
+            tensor.sample_rate_hz, tensor.band_count))
+    # amplitudes + z * scale * sigma, computed in the array z is drawn into
     noisy = np.random.default_rng(rng_seed).standard_normal(
         tensor.amplitudes.shape)
-    noisy *= scale * 0.5 * step
+    noisy *= scale * sigma
     noisy += tensor.amplitudes
     return MdctTensor(noisy, tensor.sample_rate_hz)
 
 
-def noise_step(tensor, partition=None, alpha=DEFAULT_ALPHA,
-               db_reference=DEFAULT_DB_REFERENCE):
-    """Per-bin quantization step of each spectrum's own thresholds.
-
-    tensor is an MdctTensor or amplitudes (..., M, N, C), as for
-    compute_thresholds; the step has the amplitudes' shape. The inaudible
-    noise std is half of it.
-    """
-    if partition is None:
-        partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
-    thresholds = compute_thresholds(tensor, partition, alpha, db_reference)
-    return quantization_step(thresholds.combined, partition)
-
-
-def write_thresholds_csv(tensor, path, partition=None, alpha=DEFAULT_ALPHA,
+def write_thresholds_csv(tensor, path, alpha=DEFAULT_ALPHA,
                          db_reference=DEFAULT_DB_REFERENCE):
-    """Dump per-block per-band thresholds (channel-averaged) as CSV and
-    return them (MaskingThresholds).
+    """Dump per-block per-band thresholds (channel-averaged) of an
+    MdctTensor as CSV and return them (MaskingThresholds).
 
     The file is THRESHOLDS_CSV_HEADER followed by write_threshold_rows of
     every block.
     """
-    if partition is None:
-        partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
-    thr = compute_thresholds(tensor, partition, alpha, db_reference)
+    partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
+    thr = compute_thresholds(tensor.amplitudes, partition, alpha, db_reference)
     with open(path, "w", newline="") as fh:
         fh.write(THRESHOLDS_CSV_HEADER)
         write_threshold_rows(fh, thr, 0)
@@ -287,9 +276,9 @@ def write_threshold_rows(fh, thr, first_block):
     as one byte matrix, so they are never held in memory whole, and
     combined is formatted only where it differs from I_mask.
     """
-    mask = thr.mask.mean(axis=2)
-    combined = thr.combined.mean(axis=2)
-    tau = thr.tonality_per_block.mean(axis=1)
+    channels = thr.mask.shape[-1]
+    mask, combined, tau = (channel_sum(x) / channels for x in (
+        thr.mask, thr.combined, thr.tonality_per_block))
     band = _decimal.fixed(np.arange(len(thr.absolute)), 0)
     absolute = _decimal.scientific(thr.absolute)
     block = _decimal.fixed(np.arange(first_block, first_block + len(mask)), 0)

@@ -6,9 +6,7 @@ twice (once for the trend, once more for bit-for-bit determinism), which
 dominates the suite's runtime.
 """
 
-import ctypes
 import functools
-import glob
 import os
 import time
 
@@ -27,7 +25,6 @@ from octaudio.nn import autodiff as ad
 from octaudio.nn.layers import (
     concat_bands,
     conv2d,
-    dense,
     leaky_relu,
     minibatch_stddev,
     slice_bands,
@@ -53,6 +50,7 @@ from octaudio.psycho import (
     write_thresholds_csv,
 )
 from octaudio.spectral import reduce_spectrogram, spectrogram
+from openblas_info import openblas_core
 
 FS, N = 22016, 128
 
@@ -99,19 +97,6 @@ def pure_tone_corpus(count=64, num_blocks=64, bands=16):
         wave = amp * np.sin(2 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
         corpus.append(mdct_forward_fast(AudioBuffer(wave, TOY_FS), bands))
     return corpus
-
-
-def openblas_core():
-    """The core name numpy's bundled OpenBLAS runs, read as CI reads it, or
-    "unknown" when no bundled library exports the symbol."""
-    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*"):
-        try:
-            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +192,7 @@ def test_criterion_6_masking_reproduction():
     )
     tensor = mdct_forward_naive(AudioBuffer(wave, FS), N)
     partition = bark_partition(FS, N)
-    thresholds = compute_thresholds(tensor, partition)
+    thresholds = compute_thresholds(tensor.amplitudes, partition)
     block = 4
     energies = band_energies(tensor.amplitudes[block, :, 0], partition)
     band_880 = int(np.searchsorted(partition.band_edges_hz, 880.0, "right") - 1)
@@ -230,10 +215,10 @@ def test_criterion_8_noise_statistics(tone_1100_blocks):
     same = psychoacoustic_noise(tensor, scale=0.0, rng_seed=3)
     assert np.array_equal(same.amplitudes, tensor.amplitudes)
 
-    noisy = psychoacoustic_noise(tensor, scale=1.0, rng_seed=3, partition=partition)
+    noisy = psychoacoustic_noise(tensor, scale=1.0, rng_seed=3)
     added = noisy.amplitudes - tensor.amplitudes
     predicted = quantization_step(
-        compute_thresholds(tensor, partition).combined, partition
+        compute_thresholds(tensor.amplitudes, partition).combined, partition
     ) / 2.0
     pool = partition.pooling_matrix()
     normalized = (added[:, :, 0] / predicted[:, :, 0]) ** 2
@@ -311,7 +296,7 @@ def test_criterion_10_gradient_checks():
     wd = ad.parameter(rng.standard_normal((5, 2)))
     bd = ad.parameter(rng.standard_normal(2) * 0.1)
     checks.append((
-        lambda: ad.sum_along(ad.power(dense(xd, wd, bd), 2.0)), [xd, wd, bd]
+        lambda: ad.sum_along(ad.power(ad.affine(xd, wd, bd), 2.0)), [xd, wd, bd]
     ))
     for fn, leaves in checks:
         assert _max_relative_error(fn, leaves, h=1e-5) <= 1e-4

@@ -13,7 +13,6 @@ from octaudio.nn.layers import (
     _phase_kernel,
     concat_bands,
     conv2d,
-    dense,
     leaky_relu,
     minibatch_stddev,
     slice_bands,
@@ -363,14 +362,14 @@ def test_leaky_relu_is_bitwise_the_gated_product():
 
 def test_dense_identity_passthrough():
     x = ad.constant(np.arange(6.0).reshape(2, 3))
-    out = dense(x, ad.constant(np.eye(3)), ad.constant(np.zeros(3)))
+    out = ad.affine(x, ad.constant(np.eye(3)), ad.constant(np.zeros(3)))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_dense_grads():
     rng = np.random.default_rng(11)
     x, w, b = leaf(rng, (3, 4)), leaf(rng, (4, 2)), leaf(rng, (2,))
-    assert_grads_match(lambda: ad.sum_along(ad.power(dense(x, w, b), 2.0)), [x, w, b])
+    assert_grads_match(lambda: ad.sum_along(ad.power(ad.affine(x, w, b), 2.0)), [x, w, b])
 
 
 @pytest.mark.parametrize("strides,kernel", [((1, 1), (3, 3)), ((2, 2), (3, 3)),

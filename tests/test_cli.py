@@ -198,10 +198,18 @@ def test_roundtrip_unwritable_output_exit_2(tmp_path, capsys):
     assert_input_error(capsys)
 
 
+def thresholds_step(tensor, partition, alpha=psycho.DEFAULT_ALPHA,
+                    db_reference=psycho.DEFAULT_DB_REFERENCE):
+    """The quantization step of tensor's own thresholds."""
+    thresholds = psycho.compute_thresholds(tensor.amplitudes, partition, alpha,
+                                           db_reference)
+    return psycho.quantization_step(thresholds.combined, partition)
+
+
 def reference_noise_and_report(tensor, partition, rng, args, sums):
     """cli._add_noise_and_report and psychoacoustic_noise as whole-array
     expressions: the bytes the report and the noise must keep."""
-    step = psycho.noise_step(tensor, partition, args.alpha, args.db_reference)
+    step = thresholds_step(tensor, partition, args.alpha, args.db_reference)
     z = rng.standard_normal(tensor.amplitudes.shape)
     noisy = tensor.amplitudes + z * (args.noise * 0.5 * step)
     added = noisy - tensor.amplitudes
@@ -238,7 +246,7 @@ def test_noise_report_is_bitwise_the_whole_array_expressions(channels, noise):
                                               args, slow)
         np.testing.assert_array_equal(noisy.amplitudes, expected)
         zero_allowance += np.count_nonzero(
-            psycho.noise_step(tensor, partition, args.alpha, 1e4) == 0)
+            thresholds_step(tensor, partition, args.alpha, 1e4) == 0)
     np.testing.assert_array_equal(fast, slow)
     assert zero_allowance >= 2 * 6 * bands * channels
     assert np.all(np.isfinite(fast))
@@ -253,11 +261,10 @@ def whole_track_roundtrip(wav, out_wav, noise, seed, bands):
     buf = AudioBuffer(buf.samples[:usable], buf.sample_rate_hz)
     tensor = mdct_forward_fast(buf, bands)
     partition = psycho.bark_partition(buf.sample_rate_hz, bands)
-    step = psycho.noise_step(tensor, partition)
+    allowance = thresholds_step(tensor, partition) / 2.0
     noisy = psycho.psychoacoustic_noise(tensor, scale=noise, rng_seed=seed,
-                                        partition=partition, step=step)
+                                        sigma=allowance)
     added = noisy.amplitudes - tensor.amplitudes
-    allowance = step / 2.0
     pool = partition.pooling_matrix()
     bins_per_band = pool.sum(axis=0)
     mean_power = np.moveaxis(added * added, 2, 0).mean(axis=(0, 1)) @ pool
@@ -901,6 +908,28 @@ def test_train_missing_config_exit_1(tmp_path):
     assert main(["train", str(tmp_path / "none.ini")]) == 1
 
 
+def test_wav_dataset_downmixes_stereo_to_the_channel_mean(tmp_path):
+    # a mono model trains on the channel mean of a stereo WAV, in the bytes
+    # of numpy's mean over the channel axis
+    (tmp_path / "wavs").mkdir()
+    wav = tmp_path / "wavs" / "a.wav"
+    samples = 0.3 * np.random.default_rng(2).standard_normal((300, 2))
+    write_wav(AudioBuffer(samples, 2048), wav)
+    config = tmp_path / "c.ini"
+    write_toy_config(config)
+    config.write_text(config.read_text().replace(
+        "source = tones", f"source = wavs\npath = {tmp_path / 'wavs'}"))
+    app = load_config(config)
+    tensors = cli._load_dataset(app, np.random.default_rng(0))
+    mono = read_wav(wav).samples.mean(axis=1, keepdims=True)
+    m, n, _ = app.model.output_shape
+    assert len(tensors) == len(mono) // (m * n) > 1
+    for i, tensor in enumerate(tensors):
+        piece = AudioBuffer(mono[i * m * n:(i + 1) * m * n], 2048)
+        assert (tensor.amplitudes.tobytes()
+                == mdct_forward_fast(piece, n).amplitudes.tobytes())
+
+
 def test_config_wavs_source_needs_path(tmp_path, capsys):
     config = tmp_path / "c.ini"
     write_toy_config(config)
@@ -956,6 +985,42 @@ iterations = 5
     assert app.model.channels == (8, 4, 2)
     assert app.train.freeze_blocks == (1, 2)
     assert app.train.iterations == 5
+
+
+@pytest.mark.parametrize("items", ["1,,1", "1,1,", ",1,1", "1, ,1"])
+@pytest.mark.parametrize("key", ["channels", "freeze_blocks"])
+def test_empty_integer_list_item_is_an_error(tmp_path, capsys, key, items):
+    # [model] channels and [train] freeze_blocks are parsed as shapes
+    # --channels is; the config file used to drop empty items silently
+    config = tmp_path / "c.ini"
+    write_toy_config(config)
+    text = config.read_text()
+    if key == "channels":
+        text = text.replace("channels = 4, 3", f"channels = {items}")
+    else:
+        text = text.replace("[train]", f"[train]\nfreeze_blocks = {items}")
+    config.write_text(text)
+    assert main(["train", str(config), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{key} = " in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+    assert main(["shapes", "--blocks", "1", f"--channels={items}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --channels: ")
+    assert err.count("\n") == 1
+
+
+def test_integer_lists_parse_alike_in_config_and_argv(tmp_path, capsys):
+    config = tmp_path / "c.ini"
+    write_toy_config(config)
+    config.write_text(config.read_text().replace(
+        "channels = 4, 3", "channels = 4 ,3").replace(
+        "[train]", "[train]\nfreeze_blocks ="))
+    app = load_config(config)
+    assert app.model.channels == (4, 3) and app.train.freeze_blocks == ()
+    assert main(["shapes", "--blocks", "1", "--channels", "4 ,3"]) == 0
+    assert "block 1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("blocks", ["0", "3", "1, 9", "-1"])

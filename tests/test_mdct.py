@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from octaudio.audio_io import AudioBuffer
 from octaudio.errors import ParseError, ShapeError
 from octaudio.mdct import (
     MdctTensor,
     band_center_hz,
+    channel_sum,
     load_tensor,
     mdct_forward_fast,
     mdct_forward_naive,
@@ -180,6 +182,37 @@ def test_channels_transform_independently_bit_for_bit(n):
         mono_tensor = MdctTensor(tensor.amplitudes[:, :, c], 22016)
         np.testing.assert_array_equal(
             back.samples[:, c], mdct_inverse(mono_tensor).samples[:, 0])
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(data=st.data(), channels=st.integers(1, 7),
+       lead=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       layout=st.sampled_from(["contiguous", "channel_major", "stepped"]))
+def test_channel_sum_is_bitwise_numpy_sum_and_mean(data, channels, lead, layout):
+    # signed zeros, subnormals and far exponents, in the layouts the DSP
+    # passes hand it: a tensor's (K, N, C), channel-major thresholds and a
+    # strided slice
+    values = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310]),
+                       st.floats(-1e300, 1e300))
+    if layout == "stepped":
+        lead = [*lead[:-1], 2 * lead[-1]]
+    x = data.draw(arrays(np.float64, (*lead, channels), elements=values))
+    if layout == "channel_major":
+        x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+    elif layout == "stepped":
+        x = x[..., ::2, :]
+    total = channel_sum(x)
+    assert total.tobytes() == x.sum(axis=-1).tobytes()
+    assert (total / channels).tobytes() == x.mean(axis=-1).tobytes()
+
+
+def test_channel_sum_of_negative_zeros_is_positive_zero():
+    # as numpy's sum: a silent block's tonality is -0.0 in every channel,
+    # and its channel mean is written to thresholds.csv as +0
+    x = np.full((2, 3, 2), -0.0)
+    assert channel_sum(x).tobytes() == np.zeros((2, 3)).tobytes()
+    assert channel_sum(x[..., :1]).tobytes() == np.zeros((2, 3)).tobytes()
 
 
 def test_length_not_multiple_raises():

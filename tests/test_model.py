@@ -12,7 +12,7 @@ from octaudio.audio_io import MAX_SAMPLE_RATE_HZ
 from octaudio.errors import ConfigError, ParseError, ShapeError
 from octaudio.nn import autodiff as ad
 from octaudio.nn import model
-from octaudio.nn.layers import conv2d, dense, leaky_relu
+from octaudio.nn.layers import conv2d, leaky_relu
 from octaudio.nn.model import (
     ModelConfig,
     count_params,
@@ -133,7 +133,7 @@ def test_generator_zero_weights_zero_output():
 def whole_array_generator(z, params, cfg):
     """generator before its last block ran in tiles: every block on the
     whole array."""
-    h = dense(z, params["g.seed.W"], params["g.seed.b"])
+    h = ad.affine(z, params["g.seed.W"], params["g.seed.b"])
     h = ad.reshape(h, (z.shape[0], cfg.seed_blocks, cfg.seed_bands, cfg.channels[0]))
     h = leaky_relu(h)
     for i in range(1, cfg.num_blocks + 1):

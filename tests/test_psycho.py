@@ -16,7 +16,7 @@ from octaudio.psycho import (
     band_energies,
     compute_thresholds,
     masking_threshold,
-    noise_step,
+    noise_sigma,
     psychoacoustic_noise,
     quantization_step,
     quantize,
@@ -183,7 +183,7 @@ def test_quiet_first_harmonic_is_masked(partition):
     # 880 Hz component 30 dB below the fundamental sits under the combined
     # threshold: the band's energy is inaudible next to the 440 Hz tone
     tensor = harmonic_tone_tensor()
-    thresholds = compute_thresholds(tensor, partition)
+    thresholds = compute_thresholds(tensor.amplitudes, partition)
     block = 4
     energies = band_energies(tensor.amplitudes[block, :, 0], partition)
     band_880 = int(np.searchsorted(partition.band_edges_hz, 880.0, "right") - 1)
@@ -195,7 +195,7 @@ def test_quiet_first_harmonic_is_masked(partition):
 
 def test_combined_is_elementwise_max(partition):
     tensor = harmonic_tone_tensor()
-    thr = compute_thresholds(tensor, partition)
+    thr = compute_thresholds(tensor.amplitudes, partition)
     np.testing.assert_array_equal(
         thr.combined,
         np.maximum(thr.mask, thr.absolute[np.newaxis, :, np.newaxis]),
@@ -204,7 +204,7 @@ def test_combined_is_elementwise_max(partition):
     assert np.all(thr.tonality_per_block <= 1)
 
 
-def test_compute_thresholds_computes_tonality_once(monkeypatch):
+def test_compute_thresholds_computes_tonality_once(monkeypatch, partition):
     calls = []
 
     def counted(amplitudes):
@@ -212,7 +212,7 @@ def test_compute_thresholds_computes_tonality_once(monkeypatch):
         return tonality(amplitudes)
 
     monkeypatch.setattr(psycho, "tonality", counted)
-    thr = compute_thresholds(harmonic_tone_tensor())
+    thr = compute_thresholds(harmonic_tone_tensor().amplitudes, partition)
     assert calls == [(1, 8, N)]
     assert thr.tonality_per_block.shape == (8, 1)
 
@@ -231,13 +231,12 @@ def test_each_channel_thresholds_are_that_channel_alone(seed, channels, blocks,
     level[rng.random(level.shape) < 0.1] = 0.0
     amps = rng.standard_normal((blocks, bands, channels)) * level
     partition = bark_partition(rate, bands)
-    alone = [compute_thresholds(
-        MdctTensor(np.ascontiguousarray(amps[:, :, c:c + 1]), rate), partition)
-        for c in range(channels)]
+    alone = [compute_thresholds(np.ascontiguousarray(amps[:, :, c:c + 1]),
+                                partition) for c in range(channels)]
     channel_major = np.ascontiguousarray(np.moveaxis(amps, 2, 0))
     for layout in [amps, np.moveaxis(channel_major, 0, 2)]:
         tensor = MdctTensor(layout, rate)
-        thr = compute_thresholds(tensor, partition)
+        thr = compute_thresholds(tensor.amplitudes, partition)
         for c, one in enumerate(alone):
             for name in ("mask", "combined", "tonality_per_block"):
                 np.testing.assert_array_equal(getattr(thr, name)[..., c],
@@ -251,7 +250,7 @@ def csv_writer_thresholds(tensor, path):
     """write_thresholds_csv as a per-row csv.writer loop: the byte oracle.
     Returns the thresholds, as write_thresholds_csv does."""
     partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
-    thr = compute_thresholds(tensor, partition)
+    thr = compute_thresholds(tensor.amplitudes, partition)
     mask = thr.mask.mean(axis=2)
     combined = thr.combined.mean(axis=2)
     tau = thr.tonality_per_block.mean(axis=1)
@@ -316,9 +315,9 @@ def test_quantize_error_bound(seed):
 
 
 def test_quantization_step_broadcasts_bands_to_bins(partition):
-    combined = np.arange(1.0, partition.band_count + 1.0)
+    combined = np.arange(1.0, partition.band_count + 1.0)[:, np.newaxis]
     steps = quantization_step(combined, partition)
-    assert steps.shape == (N,)
+    assert steps.shape == (N, 1)
     np.testing.assert_allclose(
         steps, np.sqrt(combined)[partition.bin_to_band]
     )
@@ -337,11 +336,35 @@ def test_noise_deterministic_per_seed():
     a = psychoacoustic_noise(tensor, scale=1.0, rng_seed=7)
     b = psychoacoustic_noise(tensor, scale=1.0, rng_seed=7)
     c = psychoacoustic_noise(tensor, scale=1.0, rng_seed=8)
-    d = psychoacoustic_noise(tensor, scale=1.0, rng_seed=7,
-                             step=noise_step(tensor))
+    d = psychoacoustic_noise(tensor, scale=1.0, rng_seed=7, sigma=noise_sigma(
+        tensor.amplitudes, bark_partition(FS, N)))
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
     np.testing.assert_array_equal(a.amplitudes, d.amplitudes)
     assert np.any(a.amplitudes != c.amplitudes)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), channels=st.integers(1, 3),
+       blocks=st.integers(1, 6), db_reference=st.sampled_from([96.0, 1e4]),
+       scale=st.one_of(st.just(0.0), st.floats(2.0 ** -1021, 1e3)))
+def test_noise_is_bitwise_amplitudes_plus_z_times_half_step(
+        seed, channels, blocks, db_reference, scale):
+    # the expression the noise layer had when it took the step itself:
+    # amps + z * (scale * 0.5 * step), or a copy at scale 0; silent blocks
+    # under a 1e4 dB reference have a zero step
+    rng = np.random.default_rng(seed)
+    level = 10.0 ** rng.uniform(-12.0, 0.0, (blocks, 1, channels))
+    level[rng.random(level.shape) < 0.2] = 0.0
+    amps = rng.standard_normal((blocks, 32, channels)) * level
+    partition = bark_partition(FS, 32)
+    sigma = noise_sigma(amps, partition, db_reference=db_reference)
+    noisy = psychoacoustic_noise(MdctTensor(amps, FS), scale, seed, sigma=sigma)
+    step = quantization_step(
+        compute_thresholds(amps, partition, db_reference=db_reference).combined,
+        partition)
+    z = np.random.default_rng(seed).standard_normal(amps.shape)
+    expected = amps + z * (scale * 0.5 * step) if scale else amps
+    assert noisy.amplitudes.tobytes() == expected.tobytes()
 
 
 def test_noise_variance_tracks_prediction(partition):
@@ -351,10 +374,10 @@ def test_noise_variance_tracks_prediction(partition):
     t = np.arange(blocks * N) / FS
     tone = 0.4 * np.sin(2 * np.pi * 440.0 * t)
     tensor = mdct_forward_fast(AudioBuffer(tone, FS), N)
-    noisy = psychoacoustic_noise(tensor, scale=1.0, rng_seed=3, partition=partition)
+    noisy = psychoacoustic_noise(tensor, scale=1.0, rng_seed=3)
     added = noisy.amplitudes - tensor.amplitudes
 
-    thresholds = compute_thresholds(tensor, partition)
+    thresholds = compute_thresholds(tensor.amplitudes, partition)
     predicted = quantization_step(thresholds.combined, partition) / 2.0
 
     pool = partition.pooling_matrix()

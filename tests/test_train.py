@@ -439,7 +439,8 @@ def test_divergence_error_carries_iteration(tmp_path):
     assert list((tmp_path / "e").iterdir()) == []
 
 
-# conv2d and dense as they were before ad.affine: matmul, then add the bias
+# conv2d and the dense layers as they were before ad.affine: matmul, then
+# add the bias
 
 def matmul_then_add_conv2d(x, weights, bias, strides):
     batch, m, n, cin = x.shape
@@ -495,7 +496,7 @@ def test_critic_is_bitwise_the_matmul_then_add_layers(cfg, monkeypatch):
     fake = 0.1 * rng.standard_normal(real.shape)
     got = critic_step_bytes(cfg, d_params, real, fake)
     monkeypatch.setattr(model_module, "conv2d", matmul_then_add_conv2d)
-    monkeypatch.setattr(model_module, "dense", matmul_then_add_dense)
+    monkeypatch.setattr(ad, "affine", matmul_then_add_dense)
     assert critic_step_bytes(cfg, d_params, real, fake) == got
 
 
