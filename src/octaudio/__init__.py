@@ -36,8 +36,6 @@ from .psycho import (
     tonality,
 )
 from .spectral import (
-    ReducedSpectrogram,
-    Spectrogram,
     mean_tonality,
     reduce_spectrogram,
     signed_db_image,

@@ -2,7 +2,9 @@
 
 Commands: analyze, roundtrip, reduce, shapes, train, sample.
 Exit codes: 0 success, 1 usage/config error, 2 input error (a malformed
-file or a failed file operation), 3 computation error. All outputs land under the given output directory.
+file or a failed file operation), 3 computation error. roundtrip writes
+the WAV path it is given; analyze, reduce, train and sample write under
+the given output directory.
 Set OCTAUDIO_VERBOSE=0 to silence informational output (errors still go
 to stderr).
 """
@@ -129,7 +131,7 @@ def _pass_bounds(num_blocks, unit=1):
 
 
 def _forward_passes(buf, bands, unit=1):
-    """(m0, m1, tensor): the forward MDCT of blocks [m0, m1) of a trimmed
+    """(m0, m1, amplitudes): the forward MDCT of blocks [m0, m1) of a trimmed
     buffer, pass by pass, equal to those blocks of the whole-track
     transform. Block m reads samples [mN - N/2, mN + 3N/2), so a pass
     transforms one extra block on each side and drops them. Pass bounds
@@ -140,9 +142,9 @@ def _forward_passes(buf, bands, unit=1):
     num_blocks = len(samples) // bands
     for m0, m1 in _pass_bounds(num_blocks, unit):
         lo, hi = max(m0 - 1, 0), min(m1 + 1, num_blocks)
-        yield m0, m1, MdctTensor(mdct_forward_fast(
+        yield m0, m1, mdct_forward_fast(
             audio_io.AudioBuffer(samples[lo * bands:hi * bands], rate),
-            bands).amplitudes[m0 - lo:m1 - lo], rate)
+            bands).amplitudes[m0 - lo:m1 - lo]
 
 
 def cmd_analyze(args):
@@ -168,8 +170,7 @@ def cmd_analyze(args):
                  newline="") as csv_fh:
         mdct_fh.write(tensor_header(num_blocks, bands, channels, rate))
         csv_fh.write(psycho.THRESHOLDS_CSV_HEADER)
-        for m0, m1, tensor in _forward_passes(buf, bands):
-            amps = tensor.amplitudes
+        for m0, m1, amps in _forward_passes(buf, bands):
             write_amplitudes(mdct_fh, amps)
             thresholds = psycho.compute_thresholds(
                 amps, partition, args.alpha, args.db_reference)
@@ -177,7 +178,7 @@ def cmd_analyze(args):
             power_peak = max(power_peak,
                              (channel_sum(np.square(amps)) / channels).max())
             amplitude_peak = max(amplitude_peak, np.abs(amps[:, :, 0]).max())
-            del tensor, amps, thresholds
+            del amps, thresholds
     spectral.write_tonality_csv(tau, bands / rate,
                                 os.path.join(args.out_dir, "tonality.csv"))
 
@@ -200,18 +201,16 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _add_noise_and_report(tensor, partition, rng, args, sums):
-    """Noisy copy of tensor from one threshold computation.
+def _add_noise_and_report(amps, partition, rng, args, sums):
+    """Noisy copy of (K, N, C) amplitudes from one threshold computation.
 
     Adds to sums, per bin and summed over blocks and channels, the added
     power (row 0) and its ratio to the inaudible noise power sigma^2,
     which is c^2 at the design point (row 1); a bin with zero sigma adds 0.
     """
-    sigma = psycho.noise_sigma(tensor.amplitudes, partition, args.alpha,
-                               args.db_reference)
-    noisy = psycho.psychoacoustic_noise(tensor, scale=args.noise, rng_seed=rng,
-                                        sigma=sigma)
-    added = noisy.amplitudes - tensor.amplitudes
+    sigma = psycho.noise_sigma(amps, partition, args.alpha, args.db_reference)
+    noisy = psycho.psychoacoustic_noise(amps, sigma, args.noise, rng)
+    added = noisy - amps
     terms = np.zeros_like(added)
     np.divide(added, sigma, out=terms, where=sigma > 0)
     sums[1] += channel_sum(np.square(terms, out=terms)).sum(axis=0)
@@ -237,15 +236,15 @@ def cmd_roundtrip(args):
     out = np.empty_like(samples)
     sums = np.zeros((2, bands))
     previous = np.empty((0, bands, buf.channels))   # last noisy block
-    for m0, m1, tensor in _forward_passes(buf, bands):
-        noisy = _add_noise_and_report(tensor, partition, rng, args, sums).amplitudes
+    for m0, m1, amps in _forward_passes(buf, bands):
+        noisy = _add_noise_and_report(amps, partition, rng, args, sums)
         lapped = mdct_inverse(MdctTensor(np.concatenate([previous, noisy]), rate))
         first = (m0 - len(previous)) * bands       # sample 0 of lapped
         begin = m0 * bands - half if m0 else 0
         end = m1 * bands - half if m1 < num_blocks else len(samples)
         out[begin:end] = lapped.samples[begin - first:end - first]
         previous = noisy[-1:].copy()    # a view would keep the whole pass
-        del tensor, noisy, lapped
+        del amps, noisy, lapped
     audio_io.write_wav(audio_io.AudioBuffer(out, rate), args.out_wav)
 
     pool = partition.pooling_matrix()
@@ -277,11 +276,11 @@ def cmd_reduce(args):
     buf = _read_trimmed(args.wav, bands * 2 ** folds)
     num_blocks = len(buf) // bands
     grids = [np.empty((num_blocks >> k, bands >> k)) for k in range(folds + 1)]
-    for m0, m1, tensor in _forward_passes(buf, bands, 2 ** folds):
-        reduced = spectral.reduce_spectrogram(spectral.spectrogram(tensor), folds)
-        for k, values in enumerate(reduced.levels):
+    for m0, m1, amps in _forward_passes(buf, bands, 2 ** folds):
+        levels = spectral.reduce_spectrogram(spectral.spectrogram(amps), folds)
+        for k, values in enumerate(levels):
             grids[k][m0 >> k:m1 >> k] = channel_sum(values) / buf.channels
-        del tensor, reduced, values
+        del amps, levels, values
     os.makedirs(args.out_dir, exist_ok=True)
     for level, grid in enumerate(grids):
         peak = grid.max(initial=0.0)

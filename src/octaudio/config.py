@@ -110,6 +110,8 @@ class AppConfig:
             raise ConfigError(f"unknown data source {self.data_source!r}")
         if self.data_source == "wavs" and not self.data_path:
             raise ConfigError("[data] source = wavs needs a path")
+        if self.data_count < 1:
+            raise ConfigError("[data] count must be >= 1")
 
 
 def _convert(section, key, kind, raw):

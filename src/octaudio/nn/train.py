@@ -69,22 +69,21 @@ class TrainConfig:
     freeze_blocks: tuple = ()
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.iterations < 0:
-            raise ConfigError("learning_rate, batch_size, iterations must be positive")
-        if self.n_critic < 1:
-            raise ConfigError("n_critic must be at least 1")
-        if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
-            raise ConfigError("Adam betas must lie in [0, 1)")
-        finite = ("learning_rate", "gp_lambda", "drift_epsilon", "noise_scale",
-                  "alpha", "db_reference")
-        infinite = [k for k in finite if not math.isfinite(getattr(self, k))]
-        if infinite:
-            raise ConfigError(f"{', '.join(infinite)} must be finite")
-        nonnegative = ("gp_lambda", "drift_epsilon", "noise_scale", "checkpoint_every")
-        if any(getattr(self, k) < 0 for k in nonnegative):
-            raise ConfigError(f"{', '.join(nonnegative)} must be >= 0")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        # each message names only the keys that break its rule
+        rules = (
+            (("learning_rate", "gp_lambda", "drift_epsilon", "noise_scale",
+              "alpha", "db_reference"), math.isfinite, "must be finite"),
+            (("learning_rate", "alpha"), lambda v: v > 0, "must be > 0"),
+            (("batch_size", "n_critic"), lambda v: v >= 1, "must be >= 1"),
+            (("iterations", "gp_lambda", "drift_epsilon", "noise_scale",
+              "checkpoint_every"), lambda v: v >= 0, "must be >= 0"),
+            (("adam_beta1", "adam_beta2"), lambda v: 0 <= v < 1,
+             "must lie in [0, 1)"),
+        )
+        for keys, ok, rule in rules:
+            failing = [k for k in keys if not ok(getattr(self, k))]
+            if failing:
+                raise ConfigError(f"{', '.join(failing)} {rule}")
         self.freeze_blocks = tuple(int(b) for b in self.freeze_blocks)
 
 

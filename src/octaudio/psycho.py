@@ -13,12 +13,13 @@ alpha, and reduced by the tonality-dependent offset
 O_j = tau*(14.5 + j) + (1 - tau)*5.5.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _decimal
-from .mdct import MdctTensor, band_center_hz, channel_sum
+from .mdct import band_center_hz, channel_sum
 
 # Zwicker critical-band boundaries (Hz). Clipped to Nyquist at partition time.
 ZWICKER_EDGES_HZ = (
@@ -227,38 +228,35 @@ def noise_sigma(amplitudes, partition, alpha=DEFAULT_ALPHA,
     return 0.5 * quantization_step(thresholds.combined, partition)
 
 
-def psychoacoustic_noise(tensor, scale=1.0, rng_seed=0, sigma=None):
-    """Add zero-mean gaussian noise with std scale * sigma per bin.
+def psychoacoustic_noise(amplitudes, sigma, scale=1.0, rng_seed=0):
+    """amplitudes plus zero-mean gaussian noise with std scale * sigma per
+    bin.
 
-    sigma defaults to noise_sigma of the tensor's own amplitudes, so the
-    noise is inaudible at scale = 1; a caller that already holds it passes
-    it. Deterministic given rng_seed; scale = 0 returns the input unchanged.
+    sigma is the per-bin std at scale = 1: noise_sigma of the amplitudes
+    makes the noise inaudible there. Deterministic given rng_seed; scale = 0
+    returns a copy of the input.
     """
-    if scale < 0:
-        raise ValueError("scale must be non-negative")
+    if not 0 <= scale < math.inf:
+        raise ValueError("scale must be finite and non-negative")
+    amplitudes = np.asarray(amplitudes, dtype=np.float64)
     if scale == 0.0:
-        return MdctTensor(tensor.amplitudes.copy(), tensor.sample_rate_hz)
-    if sigma is None:
-        sigma = noise_sigma(tensor.amplitudes, bark_partition(
-            tensor.sample_rate_hz, tensor.band_count))
+        return amplitudes.copy()
     # amplitudes + z * scale * sigma, computed in the array z is drawn into
-    noisy = np.random.default_rng(rng_seed).standard_normal(
-        tensor.amplitudes.shape)
+    noisy = np.random.default_rng(rng_seed).standard_normal(amplitudes.shape)
     noisy *= scale * sigma
-    noisy += tensor.amplitudes
-    return MdctTensor(noisy, tensor.sample_rate_hz)
+    noisy += amplitudes
+    return noisy
 
 
-def write_thresholds_csv(tensor, path, alpha=DEFAULT_ALPHA,
+def write_thresholds_csv(amplitudes, partition, path, alpha=DEFAULT_ALPHA,
                          db_reference=DEFAULT_DB_REFERENCE):
-    """Dump per-block per-band thresholds (channel-averaged) of an
-    MdctTensor as CSV and return them (MaskingThresholds).
+    """Dump per-block per-band thresholds (channel-averaged) of (M, N, C)
+    amplitudes as CSV and return them (MaskingThresholds).
 
     The file is THRESHOLDS_CSV_HEADER followed by write_threshold_rows of
     every block.
     """
-    partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
-    thr = compute_thresholds(tensor.amplitudes, partition, alpha, db_reference)
+    thr = compute_thresholds(amplitudes, partition, alpha, db_reference)
     with open(path, "w", newline="") as fh:
         fh.write(THRESHOLDS_CSV_HEADER)
         write_threshold_rows(fh, thr, 0)

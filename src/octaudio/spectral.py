@@ -5,8 +5,6 @@ bottom. Intensities are shown on a dB scale clipped `db_floor` dB below the
 maximum.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import _decimal
@@ -16,39 +14,9 @@ from .psycho import tonality
 DEFAULT_DB_FLOOR = -100.0
 
 
-@dataclass
-class Spectrogram:
-    """Squared amplitudes (blocks M, bands N, channels C), all >= 0."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 3:
-            raise ShapeError("values must have shape (blocks, bands, channels)")
-        if np.any(values < 0):
-            raise ValueError("spectrogram values must be non-negative")
-        self.values = values
-
-    @property
-    def num_blocks(self):
-        return self.values.shape[0]
-
-    @property
-    def band_count(self):
-        return self.values.shape[1]
-
-
-@dataclass
-class ReducedSpectrogram:
-    """Original grid plus one channel-summed grid per fold."""
-
-    levels: list = field(default_factory=list)
-
-
-def spectrogram(tensor):
-    """Per-channel squared amplitudes of an MDCT tensor."""
-    return Spectrogram(tensor.amplitudes ** 2)
+def spectrogram(amplitudes):
+    """Per-channel squared amplitudes of an (M, N, C) amplitude grid."""
+    return np.asarray(amplitudes, dtype=np.float64) ** 2
 
 
 def write_pgm(pixels, path):
@@ -93,9 +61,9 @@ def db_pixels(values, db_floor=DEFAULT_DB_FLOOR, peak=None):
     return np.round(255.0 * scaled).astype(np.uint8).T[::-1]
 
 
-def to_db_image(spec, path, db_floor=DEFAULT_DB_FLOOR):
-    """Render the channel-averaged power grid as a dB-scale PGM."""
-    write_pgm(db_pixels(spec.values.mean(axis=2), db_floor), path)
+def to_db_image(power, path, db_floor=DEFAULT_DB_FLOOR):
+    """Render the channel-averaged (M, N, C) power grid as a dB-scale PGM."""
+    write_pgm(db_pixels(power.mean(axis=2), db_floor), path)
 
 
 def signed_db_pixels(amplitudes, db_floor=DEFAULT_DB_FLOOR, peak=None):
@@ -112,9 +80,10 @@ def signed_db_pixels(amplitudes, db_floor=DEFAULT_DB_FLOOR, peak=None):
     return (128 + offset).astype(np.uint8).T[::-1]
 
 
-def signed_db_image(tensor, path, db_floor=DEFAULT_DB_FLOOR):
-    """Render channel 0 signed amplitudes as a PGM around mid-gray."""
-    write_pgm(signed_db_pixels(tensor.amplitudes[:, :, 0], db_floor), path)
+def signed_db_image(amplitudes, path, db_floor=DEFAULT_DB_FLOOR):
+    """Render channel 0 of (M, N, C) signed amplitudes as a PGM around
+    mid-gray."""
+    write_pgm(signed_db_pixels(amplitudes[:, :, 0], db_floor), path)
 
 
 def blur_time(values):
@@ -141,35 +110,36 @@ def fold_frequency(values):
     return out
 
 
-def reduce_spectrogram(spec, folds):
+def reduce_spectrogram(power, folds):
     """Repeatedly blur the time axis (x2) and fold the top octave.
 
-    Both axes halve per fold; level 0 is the input grid.
+    power is an (M, N, C) grid. Both axes halve per fold; the returned list
+    holds folds + 1 levels, level 0 being the input grid.
     """
     folds = int(folds)
     if folds < 0:
         raise ValueError("folds must be non-negative")
-    values = spec.values
-    if spec.num_blocks % (2 ** folds) or spec.band_count % (2 ** folds):
-        raise ShapeError(
-            f"grid {spec.num_blocks}x{spec.band_count} is not divisible by 2^{folds}"
-        )
+    values = np.asarray(power, dtype=np.float64)
+    if values.ndim != 3:
+        raise ShapeError("power must have shape (blocks, bands, channels)")
+    blocks, bands = values.shape[:2]
+    if blocks % (2 ** folds) or bands % (2 ** folds):
+        raise ShapeError(f"grid {blocks}x{bands} is not divisible by 2^{folds}")
     levels = [values]
     for _ in range(folds):
         values = fold_frequency(blur_time(values))
         levels.append(values)
-    return ReducedSpectrogram(levels)
+    return levels
 
 
-def tonality_series(tensor):
-    """Channel-averaged per-block tonality tau(m)."""
-    amps = np.moveaxis(tensor.amplitudes, 2, 0)   # (C, M, N)
-    return tonality(amps).mean(axis=0)
+def tonality_series(amplitudes):
+    """Channel-averaged per-block tonality tau(m) of (M, N, C) amplitudes."""
+    return tonality(np.moveaxis(amplitudes, 2, 0)).mean(axis=0)
 
 
-def mean_tonality(tensor):
+def mean_tonality(amplitudes):
     """Scalar tonality: the per-block series averaged over blocks."""
-    return float(tonality_series(tensor).mean())
+    return float(tonality_series(amplitudes).mean())
 
 
 def write_tonality_csv(series, block_seconds, path):

@@ -42,6 +42,7 @@ from octaudio.psycho import (
     bark_partition,
     band_energies,
     compute_thresholds,
+    noise_sigma,
     psychoacoustic_noise,
     quantization_step,
     quantize,
@@ -212,11 +213,12 @@ def test_criterion_7_quantization_bound():
 def test_criterion_8_noise_statistics(tone_1100_blocks):
     tensor = tone_1100_blocks
     partition = bark_partition(FS, N)
-    same = psychoacoustic_noise(tensor, scale=0.0, rng_seed=3)
-    assert np.array_equal(same.amplitudes, tensor.amplitudes)
+    sigma = noise_sigma(tensor.amplitudes, partition)
+    same = psychoacoustic_noise(tensor.amplitudes, sigma, scale=0.0, rng_seed=3)
+    assert np.array_equal(same, tensor.amplitudes)
 
-    noisy = psychoacoustic_noise(tensor, scale=1.0, rng_seed=3)
-    added = noisy.amplitudes - tensor.amplitudes
+    noisy = psychoacoustic_noise(tensor.amplitudes, sigma, scale=1.0, rng_seed=3)
+    added = noisy - tensor.amplitudes
     predicted = quantization_step(
         compute_thresholds(tensor.amplitudes, partition).combined, partition
     ) / 2.0
@@ -374,15 +376,14 @@ def test_criterion_13_reduced_spectrogram():
         + np.sin(2 * np.pi * 3520.0 * t)
         + np.sin(2 * np.pi * 7040.0 * t)
     )
-    spec = spectrogram(mdct_forward_fast(AudioBuffer(wave, FS), N))
+    spec = spectrogram(mdct_forward_fast(AudioBuffer(wave, FS), N).amplitudes)
     from octaudio.spectral import fold_frequency
 
-    folded = fold_frequency(spec.values)
-    total = spec.values.sum()
+    folded = fold_frequency(spec)
+    total = spec.sum()
     assert abs(folded.sum() - total) <= 1e-12 * total
 
-    reduced = reduce_spectrogram(spec, 2)
-    profile = reduced.levels[-1][:, :, 0].sum(axis=0)
+    profile = reduce_spectrogram(spec, 2)[-1][:, :, 0].sum(axis=0)
     assert profile.max() >= 0.7 * profile.sum()
 
 
@@ -400,12 +401,14 @@ def test_criterion_14_determinism(toy_training, tone_1100_blocks, tmp_path):
         ck_b = fh.read()
     assert ck_a == ck_b
 
-    tensor = tone_1100_blocks
+    amps = tone_1100_blocks.amplitudes
+    partition = bark_partition(FS, N)
     runs = []
     for tag in ("a", "b"):
-        noisy = psychoacoustic_noise(tensor, scale=1.0, rng_seed=3)
+        noisy = psychoacoustic_noise(amps, noise_sigma(amps, partition),
+                                     scale=1.0, rng_seed=3)
         path = tmp_path / f"thresholds_{tag}.csv"
-        write_thresholds_csv(noisy, path)
-        runs.append((noisy.amplitudes, path.read_bytes()))
+        write_thresholds_csv(noisy, partition, path)
+        runs.append((noisy, path.read_bytes()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]

@@ -198,21 +198,20 @@ def test_roundtrip_unwritable_output_exit_2(tmp_path, capsys):
     assert_input_error(capsys)
 
 
-def thresholds_step(tensor, partition, alpha=psycho.DEFAULT_ALPHA,
+def thresholds_step(amps, partition, alpha=psycho.DEFAULT_ALPHA,
                     db_reference=psycho.DEFAULT_DB_REFERENCE):
-    """The quantization step of tensor's own thresholds."""
-    thresholds = psycho.compute_thresholds(tensor.amplitudes, partition, alpha,
-                                           db_reference)
+    """The quantization step of the amplitudes' own thresholds."""
+    thresholds = psycho.compute_thresholds(amps, partition, alpha, db_reference)
     return psycho.quantization_step(thresholds.combined, partition)
 
 
-def reference_noise_and_report(tensor, partition, rng, args, sums):
+def reference_noise_and_report(amps, partition, rng, args, sums):
     """cli._add_noise_and_report and psychoacoustic_noise as whole-array
     expressions: the bytes the report and the noise must keep."""
-    step = thresholds_step(tensor, partition, args.alpha, args.db_reference)
-    z = rng.standard_normal(tensor.amplitudes.shape)
-    noisy = tensor.amplitudes + z * (args.noise * 0.5 * step)
-    added = noisy - tensor.amplitudes
+    step = thresholds_step(amps, partition, args.alpha, args.db_reference)
+    z = rng.standard_normal(amps.shape)
+    noisy = amps + z * (args.noise * 0.5 * step)
+    added = noisy - amps
     allowance = step / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = np.where(allowance > 0, (added / allowance) ** 2, 0.0)
@@ -238,15 +237,14 @@ def test_noise_report_is_bitwise_the_whole_array_expressions(channels, noise):
     for _ in range(2):     # two passes into the same sums
         level = 10.0 ** rng.uniform(-12.0, 0.0, (blocks, 1, channels))
         level[::7] = 0.0
-        tensor = MdctTensor(
-            rng.standard_normal((blocks, bands, channels)) * level, FS)
-        noisy = cli._add_noise_and_report(tensor, partition, fast_rng, args,
+        amps = rng.standard_normal((blocks, bands, channels)) * level
+        noisy = cli._add_noise_and_report(amps, partition, fast_rng, args,
                                           fast)
-        expected = reference_noise_and_report(tensor, partition, slow_rng,
+        expected = reference_noise_and_report(amps, partition, slow_rng,
                                               args, slow)
-        np.testing.assert_array_equal(noisy.amplitudes, expected)
+        np.testing.assert_array_equal(noisy, expected)
         zero_allowance += np.count_nonzero(
-            thresholds_step(tensor, partition, args.alpha, 1e4) == 0)
+            thresholds_step(amps, partition, args.alpha, 1e4) == 0)
     np.testing.assert_array_equal(fast, slow)
     assert zero_allowance >= 2 * 6 * bands * channels
     assert np.all(np.isfinite(fast))
@@ -259,12 +257,12 @@ def whole_track_roundtrip(wav, out_wav, noise, seed, bands):
     buf = read_wav(wav)
     usable = len(buf) // bands * bands
     buf = AudioBuffer(buf.samples[:usable], buf.sample_rate_hz)
-    tensor = mdct_forward_fast(buf, bands)
+    amps = mdct_forward_fast(buf, bands).amplitudes
     partition = psycho.bark_partition(buf.sample_rate_hz, bands)
-    allowance = thresholds_step(tensor, partition) / 2.0
-    noisy = psycho.psychoacoustic_noise(tensor, scale=noise, rng_seed=seed,
-                                        sigma=allowance)
-    added = noisy.amplitudes - tensor.amplitudes
+    allowance = thresholds_step(amps, partition) / 2.0
+    noisy = psycho.psychoacoustic_noise(amps, allowance, scale=noise,
+                                        rng_seed=seed)
+    added = noisy - amps
     pool = partition.pooling_matrix()
     bins_per_band = pool.sum(axis=0)
     mean_power = np.moveaxis(added * added, 2, 0).mean(axis=(0, 1)) @ pool
@@ -274,7 +272,7 @@ def whole_track_roundtrip(wav, out_wav, noise, seed, bands):
     ratio = (
         np.moveaxis(normalized, 2, 0).mean(axis=(0, 1)) @ pool
     ) / np.maximum(bins_per_band, 1)
-    write_wav(mdct_inverse(noisy), out_wav)
+    write_wav(mdct_inverse(MdctTensor(noisy, buf.sample_rate_hz)), out_wav)
     lines = ["band     mid_hz   mean_noise_power   noise/threshold ratio"]
     for j in range(partition.band_count):
         flag = "  AUDIBLE" if ratio[j] > 2.0 else ""
@@ -378,9 +376,9 @@ def whole_track_analyze(wav, out_dir, bands):
     buf = AudioBuffer(buf.samples[:usable], buf.sample_rate_hz)
     tensor = mdct_forward_fast(buf, bands)
     os.makedirs(out_dir, exist_ok=True)
-    spectral.to_db_image(spectral.spectrogram(tensor),
+    spectral.to_db_image(spectral.spectrogram(tensor.amplitudes),
                          os.path.join(out_dir, "spectrogram.pgm"))
-    spectral.signed_db_image(tensor,
+    spectral.signed_db_image(tensor.amplitudes,
                              os.path.join(out_dir, "signed_amplitudes.pgm"))
     thresholds = csv_writer_thresholds(
         tensor, os.path.join(out_dir, "thresholds.csv"))
@@ -563,9 +561,10 @@ def whole_track_reduce(wav, out_dir, bands, folds):
     usable = len(buf) // chunk * chunk
     tensor = mdct_forward_fast(
         AudioBuffer(buf.samples[:usable], buf.sample_rate_hz), bands)
-    reduced = spectral.reduce_spectrogram(spectral.spectrogram(tensor), folds)
+    levels = spectral.reduce_spectrogram(
+        spectral.spectrogram(tensor.amplitudes), folds)
     os.makedirs(out_dir, exist_ok=True)
-    for level, values in enumerate(reduced.levels):
+    for level, values in enumerate(levels):
         spectral.write_pgm(
             spectral.db_pixels(values.mean(axis=2)),
             os.path.join(out_dir, f"level_{level}.pgm"))
@@ -890,6 +889,22 @@ def test_train_bad_config_exit_1(tmp_path, capsys):
         assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_config_data_count_below_one_exit_1_before_any_work(tmp_path, capsys,
+                                                            count):
+    config = tmp_path / "c.ini"
+    write_toy_config(config)
+    config.write_text(config.read_text().replace("count = 4",
+                                                 f"count = {count}"))
+    run_dir = tmp_path / "run"
+    assert main(["train", str(config), "--out-dir", str(run_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and "[data] count" in err
+    assert err.count("\n") == 1
+    assert not run_dir.exists()
+
+
 def test_train_out_of_memory_is_compute_error(tmp_path, capsys):
     # a batch of 10^15 asks numpy for petabytes, more than any address
     # space, so no overcommit policy grants it
@@ -1116,6 +1131,78 @@ def test_option_the_command_does_not_read_is_usage_error(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err == f"usage error: unrecognized arguments: {option} {value}\n"
     assert not out.exists()
+
+
+# every option of the commands that read files or print shapes, with values
+# each accepts; any option may instead get a value from ARGV_INVALID
+ARGV_OPTIONS = {
+    "analyze": {"--bands": ("8", "16", "128"), "--alpha": ("0.3", "2"),
+                "--db-reference": ("96", "0"), "--db-floor": ("-60",)},
+    "roundtrip": {"--noise": ("0", "1", "2.5"), "--seed": ("0", "7"),
+                  "--bands": ("8", "16", "128"), "--alpha": ("0.3",),
+                  "--db-reference": ("96",)},
+    "reduce": {"--folds": ("0", "1", "3"), "--bands": ("8", "16", "128"),
+               "--db-floor": ("-60",)},
+    "shapes": {"--blocks": ("0", "1", "2"), "--seed": ("4x2", "1x4"),
+               "--latent": ("6",), "--channels": ("4,3", "8,4,2"),
+               "--output-channels": ("1", "2")},
+    "sample": {"--count": ("1", "2"), "--seed": ("0", "3"),
+               "--sample-rate": ("2048", "44100")},
+}
+ARGV_INVALID = ("nan", "inf", "-1", "", "1e308", "abc", "4x2", "1,2")
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Input paths (a tiny stereo WAV, a mono 44.1 kHz WAV, a toy checkpoint,
+    a missing file) and output paths (a directory to make, an existing
+    file, a path under a missing directory; roundtrip writes each path
+    plus ".wav")."""
+    root = tmp_path_factory.mktemp("argv")
+    stereo, mono = root / "stereo.wav", root / "mono.wav"
+    write_wav(AudioBuffer(
+        0.1 * np.random.default_rng(0).standard_normal((600, 2)), FS), stereo)
+    write_tone(mono, seconds=0.05, fs=44100)
+    checkpoint = root / "toy.ckpt"
+    write_toy_checkpoint(checkpoint)
+    taken = root / "taken"
+    taken.write_bytes(b"taken")
+    inputs = [stereo, mono, checkpoint, root / "missing.wav"]
+    outputs = [root / "out", taken, root / "missing" / "sub"]
+    return [str(p) for p in inputs], [str(p) for p in outputs]
+
+
+@st.composite
+def cli_argv(draw, files):
+    inputs, outputs = files
+    command = draw(st.sampled_from(sorted(ARGV_OPTIONS)))
+    argv = [command]
+    if command != "shapes":
+        argv.append(draw(st.sampled_from(inputs)))
+        out = draw(st.sampled_from(outputs))
+        argv.append(out + ".wav" if command == "roundtrip" else out)
+    for option, valid in ARGV_OPTIONS[command].items():
+        value = draw(st.none() | st.sampled_from(valid)
+                     | st.sampled_from(ARGV_INVALID))
+        if value is not None:
+            argv.append(f"{option}={value}")    # "-1" is no flag
+    return argv
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_with_a_code_and_one_error_line(argv_files, data):
+    argv = data.draw(cli_argv(argv_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    stderr = err.getvalue()
+    if code:
+        assert stderr.count("\n") == 1 and stderr.endswith("\n"), argv
+    else:
+        assert stderr == "", argv
 
 
 @pytest.mark.parametrize("rate", [1e30, [1], "abc", 0, -5])

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -235,14 +236,13 @@ def test_each_channel_thresholds_are_that_channel_alone(seed, channels, blocks,
                                 partition) for c in range(channels)]
     channel_major = np.ascontiguousarray(np.moveaxis(amps, 2, 0))
     for layout in [amps, np.moveaxis(channel_major, 0, 2)]:
-        tensor = MdctTensor(layout, rate)
-        thr = compute_thresholds(tensor.amplitudes, partition)
+        thr = compute_thresholds(layout, partition)
         for c, one in enumerate(alone):
             for name in ("mask", "combined", "tonality_per_block"):
                 np.testing.assert_array_equal(getattr(thr, name)[..., c],
                                               getattr(one, name)[..., 0], name)
         np.testing.assert_array_equal(
-            spectral.tonality_series(tensor),
+            spectral.tonality_series(layout),
             np.mean([one.tonality_per_block[:, 0] for one in alone], axis=0))
 
 
@@ -278,7 +278,8 @@ def test_thresholds_csv_matches_csv_writer_bytes(tmp_path, blocks, channels):
     rng = np.random.default_rng(blocks)
     level = 10.0 ** rng.uniform(-7.0, 0.0, (blocks, 1, channels))
     tensor = MdctTensor(rng.standard_normal((blocks, N, channels)) * level, FS)
-    write_thresholds_csv(tensor, tmp_path / "fast.csv")
+    write_thresholds_csv(tensor.amplitudes, bark_partition(FS, N),
+                         tmp_path / "fast.csv")
     csv_writer_thresholds(tensor, tmp_path / "oracle.csv")
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "oracle.csv").read_bytes()
@@ -323,24 +324,31 @@ def test_quantization_step_broadcasts_bands_to_bins(partition):
     )
 
 
-def test_noise_zero_scale_identity():
+def test_noise_zero_scale_identity(partition):
     rng = np.random.default_rng(2)
-    tensor = MdctTensor(rng.standard_normal((4, N, 1)), FS)
-    out = psychoacoustic_noise(tensor, scale=0.0, rng_seed=1)
-    np.testing.assert_array_equal(out.amplitudes, tensor.amplitudes)
+    amps = rng.standard_normal((4, N, 1))
+    out = psychoacoustic_noise(amps, noise_sigma(amps, partition), scale=0.0,
+                               rng_seed=1)
+    np.testing.assert_array_equal(out, amps)
 
 
-def test_noise_deterministic_per_seed():
+def test_noise_deterministic_per_seed(partition):
     rng = np.random.default_rng(2)
-    tensor = MdctTensor(rng.standard_normal((4, N, 1)) * 0.1, FS)
-    a = psychoacoustic_noise(tensor, scale=1.0, rng_seed=7)
-    b = psychoacoustic_noise(tensor, scale=1.0, rng_seed=7)
-    c = psychoacoustic_noise(tensor, scale=1.0, rng_seed=8)
-    d = psychoacoustic_noise(tensor, scale=1.0, rng_seed=7, sigma=noise_sigma(
-        tensor.amplitudes, bark_partition(FS, N)))
-    np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-    np.testing.assert_array_equal(a.amplitudes, d.amplitudes)
-    assert np.any(a.amplitudes != c.amplitudes)
+    amps = rng.standard_normal((4, N, 1)) * 0.1
+    sigma = noise_sigma(amps, partition)
+    a = psychoacoustic_noise(amps, sigma, scale=1.0, rng_seed=7)
+    b = psychoacoustic_noise(amps, sigma, scale=1.0, rng_seed=7)
+    c = psychoacoustic_noise(amps, sigma, scale=1.0, rng_seed=8)
+    np.testing.assert_array_equal(a, b)
+    assert np.any(a != c)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+def test_noise_rejects_a_scale_that_is_not_finite_and_non_negative(
+        partition, scale):
+    amps = np.random.default_rng(2).standard_normal((4, N, 1))
+    with pytest.raises(ValueError, match="scale"):
+        psychoacoustic_noise(amps, noise_sigma(amps, partition), scale)
 
 
 @settings(max_examples=50, deadline=None)
@@ -358,13 +366,13 @@ def test_noise_is_bitwise_amplitudes_plus_z_times_half_step(
     amps = rng.standard_normal((blocks, 32, channels)) * level
     partition = bark_partition(FS, 32)
     sigma = noise_sigma(amps, partition, db_reference=db_reference)
-    noisy = psychoacoustic_noise(MdctTensor(amps, FS), scale, seed, sigma=sigma)
+    noisy = psychoacoustic_noise(amps, sigma, scale, seed)
     step = quantization_step(
         compute_thresholds(amps, partition, db_reference=db_reference).combined,
         partition)
     z = np.random.default_rng(seed).standard_normal(amps.shape)
     expected = amps + z * (scale * 0.5 * step) if scale else amps
-    assert noisy.amplitudes.tobytes() == expected.tobytes()
+    assert noisy.tobytes() == expected.tobytes()
 
 
 def test_noise_variance_tracks_prediction(partition):
@@ -373,11 +381,12 @@ def test_noise_variance_tracks_prediction(partition):
     blocks = 1100
     t = np.arange(blocks * N) / FS
     tone = 0.4 * np.sin(2 * np.pi * 440.0 * t)
-    tensor = mdct_forward_fast(AudioBuffer(tone, FS), N)
-    noisy = psychoacoustic_noise(tensor, scale=1.0, rng_seed=3)
-    added = noisy.amplitudes - tensor.amplitudes
+    amps = mdct_forward_fast(AudioBuffer(tone, FS), N).amplitudes
+    noisy = psychoacoustic_noise(amps, noise_sigma(amps, partition),
+                                 scale=1.0, rng_seed=3)
+    added = noisy - amps
 
-    thresholds = compute_thresholds(tensor.amplitudes, partition)
+    thresholds = compute_thresholds(amps, partition)
     predicted = quantization_step(thresholds.combined, partition) / 2.0
 
     pool = partition.pooling_matrix()

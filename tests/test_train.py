@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pathlib
 import tracemalloc
 import weakref
@@ -266,6 +267,33 @@ def test_train_rejects_empty_and_mismatched_dataset(tmp_path):
     bad = [MdctTensor(np.zeros((4, 8, 1)), 2048)]
     with pytest.raises(ShapeError):
         train(bad, cfg, tcfg, tmp_path / "y")
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("learning_rate", 0.0, "must be > 0"),
+    ("learning_rate", math.nan, "must be finite"),
+    ("adam_beta1", 1.0, "must lie in [0, 1)"),
+    ("adam_beta2", -0.1, "must lie in [0, 1)"),
+    ("n_critic", 0, "must be >= 1"),
+    ("gp_lambda", -1.0, "must be >= 0"),
+    ("gp_lambda", math.inf, "must be finite"),
+    ("drift_epsilon", -1.0, "must be >= 0"),
+    ("batch_size", 0, "must be >= 1"),
+    ("noise_scale", -1.0, "must be >= 0"),
+    ("iterations", -1, "must be >= 0"),
+    ("checkpoint_every", -1, "must be >= 0"),
+    ("alpha", 0.0, "must be > 0"),
+    ("db_reference", math.inf, "must be finite"),
+])
+def test_train_config_message_names_only_the_failing_key(key, value, rule):
+    # every other key keeps its default, which is valid
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(**{key: value})
+    assert str(info.value) == f"{key} {rule}"
+
+
+def test_train_config_accepts_zero_iterations():
+    assert TrainConfig(iterations=0).iterations == 0
 
 
 def test_freeze_blocks_keeps_block_parameters_fixed(tmp_path):
