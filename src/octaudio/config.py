@@ -168,6 +168,11 @@ def load_config(path):
         train_cfg = TrainConfig(**train_kwargs)
     except TypeError as exc:
         raise ConfigError(f"[train]: {exc}") from exc
+    except ConfigError as exc:
+        message = str(exc)     # names TrainConfig's fields: name the file's keys
+        for key, field in rename.items():
+            message = message.replace(field, key)
+        raise ConfigError(message) from None
     outside = [b for b in train_cfg.freeze_blocks
                if not 1 <= b <= model_cfg.num_blocks]
     if outside:

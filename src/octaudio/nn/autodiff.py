@@ -8,6 +8,17 @@ gradient penalty) work without special casing.
 `grad(output, inputs, create_graph=True)` keeps the returned adjoints
 connected to the graph; with the default `create_graph=False` the backward
 pass runs with graph recording switched off and returns plain values.
+
+The graph is made of nodes, not tensors. A Tensor gets a node only while
+recording, and only when it requires grad. A node holds the nodes of the
+parents that require grad and one vjp for each of them, never an array. So
+an intermediate array lives only while its caller holds the Tensor or a
+vjp captured it because that backward reads it:
+- `mul`, `matmul` and `affine` keep one operand only for the gradient of
+  another operand that requires grad;
+- `power` and `sqrt` keep their base;
+- `leaky_relu` keeps the boolean gate a >= 0, not a.
+Every other vjp captures only shapes, axes, offsets or indices.
 """
 
 import numpy as np
@@ -38,22 +49,35 @@ def recording():
     return _GRAD_ENABLED
 
 
-class Tensor:
-    """An array plus the recipe for propagating adjoints to its parents."""
+class _Node:
+    """One recorded op: the nodes of its parents that require grad, and for
+    each the vjp that maps this node's adjoint to that parent's share."""
 
-    __slots__ = ("data", "parents", "vjps", "requires_grad")
+    __slots__ = ("parents", "vjps", "__weakref__")
+
+    def __init__(self, parents, vjps):
+        self.parents = parents
+        self.vjps = vjps
+
+
+class Tensor:
+    """An array plus, while it requires grad, its node in the graph."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, parents=(), vjps=(), requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
+        self.node = None
         if _GRAD_ENABLED:
-            keep = requires_grad or any(p.requires_grad for p in parents)
-            self.parents = parents if keep else ()
-            self.vjps = vjps if keep else ()
-            self.requires_grad = keep
-        else:
-            self.parents = ()
-            self.vjps = ()
-            self.requires_grad = False
+            edges = [(p.node, vjp) for p, vjp in zip(parents, vjps)
+                     if p.node is not None]
+            if edges or requires_grad:
+                self.node = _Node(tuple(n for n, _ in edges),
+                                  tuple(vjp for _, vjp in edges))
+
+    @property
+    def requires_grad(self):
+        return self.node is not None
 
     @property
     def shape(self):
@@ -182,13 +206,17 @@ def _power_of_positive(a, exponent):
 
 
 def leaky_relu(a, slope):
-    """max(a, slope * a) for 0 < slope <= 1; the gate exists only in the vjp."""
+    """max(a, slope * a) for 0 < slope <= 1. While recording, the vjp keeps
+    the boolean gate a >= 0, not a."""
     a = _as_tensor(a)
     out = a.data * slope
     np.maximum(out, a.data, out=out)
+    if not a.requires_grad or not _GRAD_ENABLED:
+        return Tensor(out)
+    gate = a.data >= 0.0
 
     def backward(g):
-        return mul(g, constant(np.where(a.data >= 0.0, 1.0, slope)))
+        return mul(g, constant(np.where(gate, 1.0, slope)))
 
     return Tensor(out, (a,), (backward,))
 
@@ -199,17 +227,18 @@ def leaky_relu(a, slope):
 def sum_along(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     data = np.sum(a.data, axis=axis, keepdims=keepdims)
+    shape, ndim = a.shape, a.ndim
 
     def backward(g):
         if axis is None:
-            return broadcast_to(reshape(g, (1,) * a.ndim), a.shape)
+            return broadcast_to(reshape(g, (1,) * ndim), shape)
         axes = axis if isinstance(axis, tuple) else (axis,)
         if not keepdims:
             kept = list(g.shape)
-            for ax in sorted(ax % a.ndim for ax in axes):
+            for ax in sorted(ax % ndim for ax in axes):
                 kept.insert(ax, 1)
             g = reshape(g, tuple(kept))
-        return broadcast_to(g, a.shape)
+        return broadcast_to(g, shape)
 
     return Tensor(data, (a,), (backward,))
 
@@ -430,15 +459,16 @@ def concat(tensors, axis):
 # backward pass
 
 def _topo_order(root):
+    """The nodes of root's graph, each after all of its parents."""
     order = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root, False)] if root is not None else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
@@ -457,9 +487,9 @@ def grad(output, inputs, *, create_graph=False):
     for an edge whose parent reaches none of `inputs`.
     """
     seed = Tensor(np.ones(output.shape))
-    wanted = {id(t) for t in inputs}
+    wanted = {id(t.node) for t in inputs if t.node is not None}
     results = {}
-    order = _topo_order(output)
+    order = _topo_order(output.node)
     # parents come before their children in `order`
     on_path = set(wanted)
     for node in order:
@@ -469,7 +499,7 @@ def grad(output, inputs, *, create_graph=False):
                 break
 
     def run():
-        adjoints = {id(output): seed}
+        adjoints = {id(output.node): seed}
         for node in reversed(order):
             g = adjoints.pop(id(node), None)
             if g is None:
@@ -491,7 +521,9 @@ def grad(output, inputs, *, create_graph=False):
         with no_grad():
             run()
 
+    # results has no key id(None), so an input with no node gets zeros
     return [
-        results.get(id(t)) if results.get(id(t)) is not None else Tensor(np.zeros(t.shape))
+        results.get(id(t.node)) if results.get(id(t.node)) is not None
+        else Tensor(np.zeros(t.shape))
         for t in inputs
     ]

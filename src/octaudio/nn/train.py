@@ -19,10 +19,10 @@ draws the batch picks, z, the real noise, the fake noise and the
 interpolation weights u; an iteration that also updates the generator then
 draws z2 and the noise of the generator's fake.
 
-Each step's graph is dropped once its gradients are taken: the generator's
-before its Adam update, the critic's at the end of its iteration, once its
-loss is written. So no graph of one iteration is alive while the next one
-is recorded.
+Each step's graph is dropped as soon as its gradients are taken, before its
+Adam update; only the loss is kept, as a float. So the critic's graph is
+gone before the generator step records its own, and no graph of one
+iteration is alive while the next one is recorded.
 """
 
 import csv
@@ -76,7 +76,7 @@ class TrainConfig:
             (("learning_rate", "alpha"), lambda v: v > 0, "must be > 0"),
             (("batch_size", "n_critic"), lambda v: v >= 1, "must be >= 1"),
             (("iterations", "gp_lambda", "drift_epsilon", "noise_scale",
-              "checkpoint_every"), lambda v: v >= 0, "must be >= 0"),
+              "checkpoint_every", "rng_seed"), lambda v: v >= 0, "must be >= 0"),
             (("adam_beta1", "adam_beta2"), lambda v: 0 <= v < 1,
              "must lie in [0, 1)"),
         )
@@ -241,6 +241,8 @@ def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
                     d_fn, train_cfg.gp_lambda, train_cfg.drift_epsilon, rng,
                 )
                 d_grads = ad.grad(loss_d, [d_params[k] for k in d_names])
+                loss_d_value = float(loss_d.data)
+                del loss_d
                 adam_d.step(d_params, dict(zip(d_names, (g.data for g in d_grads))))
 
                 if it % train_cfg.n_critic == 0:
@@ -252,20 +254,20 @@ def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
                     loss_g = generator_loss(fake_g, d_fn)
                     g_grads = ad.grad(loss_g, [g_params[k] for k in g_names])
                     loss_g_value = float(loss_g.data)
-                    del fake_g, loss_g
+                    del z2, fake_g, loss_g
                     adam_g.step(g_params, dict(zip(g_names, (g.data for g in g_grads))))
                 else:
                     loss_g_value = -stats["d_fake"]    # of the critic step's fake
 
                 gen_tau = float(np.mean(tonality(np.moveaxis(fake.data, 3, 1))))
-                if not (np.isfinite(loss_d.data) and np.isfinite(loss_g_value)):
+                if not (np.isfinite(loss_d_value) and np.isfinite(loss_g_value)):
                     raise DivergenceError(it)
 
                 wasserstein_hist[it - 1] = stats["wasserstein"]
                 tonality_hist[it - 1] = gen_tau
                 writer.writerow([
                     it,
-                    f"{float(loss_d.data):.17g}",
+                    f"{loss_d_value:.17g}",
                     f"{loss_g_value:.17g}",
                     f"{stats['wasserstein']:.17g}",
                     f"{gen_tau:.17g}",
@@ -278,10 +280,7 @@ def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
                         extra={"sample_rate_hz": sample_rate},
                     )
                 if progress is not None:
-                    progress(it, float(loss_d.data), loss_g_value)
-                # dropped here, not right after d_grads: freed there, the heap
-                # top it held is trimmed and the generator step faults it back in
-                del loss_d
+                    progress(it, loss_d_value, loss_g_value)
     except BaseException:
         # a run that fails before its first row leaves no output behind
         if not rows:

@@ -1,8 +1,11 @@
-"""The core name and thread count of numpy's bundled OpenBLAS.
+"""The core name and thread count of numpy's bundled OpenBLAS, and numpy's
+enabled SIMD dispatch targets.
 
-The seeded training trajectory depends on both, as each dgemm kernel and
-thread path rounds differently. Read through ctypes; "unknown" when no
-bundled library exports the symbol. Print both with
+The seeded training trajectory depends on all three, as each dgemm kernel
+and thread path rounds differently, and so do numpy's log10, exp and power
+on each dispatch target. The OpenBLAS values are read through ctypes,
+"unknown" when no bundled library exports the symbol. The dispatch targets
+honour NPY_DISABLE_CPU_FEATURES. Print them with
 
     python tests/openblas_info.py
 """
@@ -12,6 +15,11 @@ import glob
 import os
 
 import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:      # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
 
 
 def _openblas(symbol, restype):
@@ -35,6 +43,14 @@ def openblas_threads():
     return _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
 
 
+def numpy_dispatch():
+    """The SIMD targets numpy dispatches to on this CPU, space-separated,
+    lowest first; "none" when only the baseline runs."""
+    enabled = [t for t in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(t)]
+    return " ".join(enabled) or "none"
+
+
 if __name__ == "__main__":
     print("OpenBLAS core:", openblas_core())
     print("OpenBLAS threads:", openblas_threads())
+    print("numpy SIMD dispatch:", numpy_dispatch())

@@ -51,7 +51,7 @@ from octaudio.psycho import (
     write_thresholds_csv,
 )
 from octaudio.spectral import reduce_spectrogram, spectrogram
-from openblas_info import openblas_core
+from openblas_info import numpy_dispatch, openblas_core
 
 FS, N = 22016, 128
 
@@ -351,12 +351,14 @@ def test_criterion_12_training_trend(toy_training):
     peak_at = int(np.argmax(smoothed))
     peak = smoothed[peak_at]
     final = smoothed[-1]
-    # the seeded trajectory depends on the BLAS kernel and thread count
-    # (README, Tests), so the line names both, and is printed before the checks
+    # the seeded trajectory depends on the BLAS kernel, the thread count and
+    # numpy's SIMD dispatch (README, Tests), so the line names all three, and
+    # is printed before the checks
     print(f"             training wall time {elapsed / 60:.1f} min; smoothed gap "
           f"{peak:.2f} at {peak_at} -> {final:.2f}; tonality "
           f"{result.gen_tonality[0]:.3f} -> {result.gen_tonality[-1]:.3f}; "
-          f"OpenBLAS core {openblas_core()}, OPENBLAS_NUM_THREADS "
+          f"OpenBLAS core {openblas_core()}, numpy dispatch {numpy_dispatch()}, "
+          f"OPENBLAS_NUM_THREADS "
           f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
           f"os.cpu_count() {os.cpu_count()}")
     # the gap rises while the critic warms up, then declines as the

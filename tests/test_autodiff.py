@@ -1,5 +1,7 @@
 """Finite-difference oracles for every autodiff primitive and layer."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -728,5 +730,109 @@ def test_no_grad_mode_drops_graph():
     a = ad.parameter(np.ones(3))
     with ad.no_grad():
         out = ad.mul(a, a)
-    assert out.parents == ()
+    assert out.node is None
     assert not out.requires_grad
+
+
+# ---------------------------------------------------------------------------
+# what a recorded graph keeps alive
+
+def intermediate(rng, shape):
+    """A recorded Tensor whose array only the Tensor itself holds."""
+    return ad.scale(leaf(rng, shape), 1.0)
+
+
+DROPPED_OUTPUTS = {
+    "add": (ad.add, [(3, 4), (3, 4)]),
+    "pad_axis": (lambda a: ad.pad_axis(a, 1, 2, 1), [(3, 4)]),
+    "concat": (lambda a, b: ad.concat([a, b], 1), [(3, 4), (3, 2)]),
+    "scatter": (lambda a: ad.scatter(a, (4, 4), (0, 0, 0, 0)),
+                [(1, 3, 3, 2, 2, 1, 1, 1)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DROPPED_OUTPUTS))
+def test_an_output_its_caller_drops_is_freed(name):
+    # no vjp reads its own op's output, and a constant factor records no vjp
+    # that would read the other side
+    op, shapes = DROPPED_OUTPUTS[name]
+    rng = np.random.default_rng(40)
+    leaves = [leaf(rng, shape) for shape in shapes]
+    out = op(*leaves)
+    weights = ad.constant(rng.standard_normal(out.shape))
+    root = ad.sum_along(ad.mul(out, weights))
+    freed = weakref.ref(out.data)
+    del out
+    assert freed() is None
+    got = ad.grad(root, leaves)
+    want = ad.grad(ad.sum_along(ad.mul(op(*leaves), weights)), leaves)
+    for g, w in zip(got, want):
+        assert g.data.tobytes() == w.data.tobytes()
+
+
+@pytest.mark.parametrize("op", [
+    lambda a: ad.leaky_relu(a, 0.2),
+    lambda a: ad.sum_along(a),
+    lambda a: ad.sum_along(a, axis=(0, 2), keepdims=True),
+    lambda a: ad.sum_along(a, axis=1),
+], ids=["leaky_relu", "sum_along", "sum_along-keepdims", "sum_along-axis"])
+def test_leaky_relu_and_sum_along_keep_no_input_array(op):
+    rng = np.random.default_rng(41)
+    a = leaf(rng, (2, 3, 4))
+    x = ad.scale(a, 1.0)
+    freed = weakref.ref(x.data)
+    out = op(x)
+    del x
+    assert freed() is None
+    weights = ad.constant(rng.standard_normal(out.shape))
+    (got,) = ad.grad(ad.sum_along(ad.mul(out, weights)), [a])
+    (want,) = ad.grad(ad.sum_along(ad.mul(op(a), weights)), [a])
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("name", ["mul", "matmul", "affine"])
+def test_an_operand_is_kept_only_for_the_other_sides_gradient(name):
+    rng = np.random.default_rng(42)
+    bias = ad.constant(rng.standard_normal(4))
+    op = {"mul": ad.mul, "matmul": ad.matmul,
+          "affine": lambda x, w: ad.affine(x, w, bias)}[name]
+
+    def kept(other_requires_grad):
+        x = intermediate(rng, (4, 4))
+        value = rng.standard_normal((4, 4))
+        other = ad.parameter(value) if other_requires_grad else ad.constant(value)
+        held = weakref.ref(x.data)
+        out = op(x, other)
+        del x
+        alive = held() is not None
+        assert out.requires_grad
+        return alive
+
+    assert not kept(False)
+    assert kept(True)
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_grads_keep_their_bytes_whichever_operands_require_grad(create_graph):
+    # a gradient-penalty graph: the critic's first- and second-order
+    # gradients are bitwise the same whether or not a factor records the
+    # vjp that nobody asks for
+    rng = np.random.default_rng(43)
+    x = leaf(rng, (5, 4))
+    w1, b1, w2 = leaf(rng, (4, 6)), leaf(rng, (6,)), leaf(rng, (6, 3))
+    probe = rng.standard_normal((5, 3))
+
+    def gradients(probe):
+        out = ad.mul(ad.matmul(ad.leaky_relu(ad.affine(x, w1, b1), 0.2), w2), probe)
+        score = ad.sum_along(ad.power(out, 2.0), axis=1)
+        first = ad.grad(ad.sum_along(score), [x, w1, b1, w2],
+                        create_graph=create_graph)
+        if not create_graph:
+            return [g.data.tobytes() for g in first]
+        norm = ad.sqrt(ad.sum_along(ad.power(first[0], 2.0), axis=1))
+        penalty = ad.mean(ad.power(ad.sub(norm, 1.0), 2.0))
+        second = ad.grad(penalty, [w1, b1, w2])
+        return [g.data.tobytes() for g in first + second]
+
+    assert gradients(ad.constant(probe)) == gradients(ad.parameter(probe))

@@ -905,6 +905,25 @@ def test_config_data_count_below_one_exit_1_before_any_work(tmp_path, capsys,
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("beta1 = 1.5", "beta1 must lie in [0, 1)"),
+    ("beta2 = -0.1", "beta2 must lie in [0, 1)"),
+    ("seed = -1", "seed must be >= 0"),
+])
+def test_config_error_names_the_key_as_the_file_writes_it(tmp_path, capsys,
+                                                          line, message):
+    # TrainConfig knows these as adam_beta1, adam_beta2 and rng_seed; a
+    # negative seed used to reach numpy and exit 3 as a compute error
+    config = tmp_path / "c.ini"
+    write_toy_config(config)
+    config.write_text(config.read_text().replace("seed = 5", line))
+    run_dir = tmp_path / "run"
+    assert main(["train", str(config), "--out-dir", str(run_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: {message}\n"
+    assert not run_dir.exists()
+
+
 def test_train_out_of_memory_is_compute_error(tmp_path, capsys):
     # a batch of 10^15 asks numpy for petabytes, more than any address
     # space, so no overcommit policy grants it

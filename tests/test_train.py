@@ -282,6 +282,7 @@ def test_train_rejects_empty_and_mismatched_dataset(tmp_path):
     ("noise_scale", -1.0, "must be >= 0"),
     ("iterations", -1, "must be >= 0"),
     ("checkpoint_every", -1, "must be >= 0"),
+    ("rng_seed", -1, "must be >= 0"),
     ("alpha", 0.0, "must be > 0"),
     ("db_reference", math.inf, "must be finite"),
 ])
@@ -528,15 +529,30 @@ def test_critic_is_bitwise_the_matmul_then_add_layers(cfg, monkeypatch):
     assert critic_step_bytes(cfg, d_params, real, fake) == got
 
 
-def graph_arrays(root):
-    """Weak references to the arrays of every recorded node in root's graph."""
-    refs, seen, stack = [], set(), [root]
+def captured_arrays(vjp):
+    """The arrays a vjp closure holds, itself or through a Tensor, leaving
+    out parameters, which outlive every graph."""
+    for cell in vjp.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, ad.Tensor):
+            if value.node is None or value.node.parents:
+                yield value.data
+        elif isinstance(value, np.ndarray):
+            yield value
+
+
+def graph_refs(root):
+    """Weak references to root's array, to every recorded non-leaf node of
+    its graph and to every array those nodes' vjps captured."""
+    refs, seen, stack = [weakref.ref(root.data)], set(), [root.node]
     while stack:
         node = stack.pop()
         if id(node) in seen or not node.parents:
             continue
         seen.add(id(node))
-        refs.append(weakref.ref(node.data))
+        refs.append(weakref.ref(node))
+        refs.extend(weakref.ref(a) for vjp in node.vjps
+                    for a in captured_arrays(vjp))
         stack.extend(node.parents)
     return refs
 
@@ -551,12 +567,14 @@ def test_no_graph_outlives_its_iteration(tmp_path, monkeypatch):
         alive.append(sum(ref() is not None for refs in graphs for ref in refs))
         graphs.clear()
         loss_d, stats = wgan_gp_losses(*args)
-        graphs.append(graph_arrays(loss_d))
+        graphs.append(graph_refs(loss_d))
         return loss_d, stats
 
     def gen_loss(*args):
+        # the critic's graph is gone before the generator step records its own
+        alive.append(sum(ref() is not None for refs in graphs for ref in refs))
         loss_g = generator_loss(*args)
-        graphs.append(graph_arrays(loss_g))
+        graphs.append(graph_refs(loss_g))
         return loss_g
 
     monkeypatch.setattr(train_module, "wgan_gp_losses", critic_loss)
@@ -565,13 +583,15 @@ def test_no_graph_outlives_its_iteration(tmp_path, monkeypatch):
     train(data, cfg, tcfg, tmp_path / "run")
     # iterations 2 and 4 also took a generator step; the last critic graph
     # was walked too
-    assert alive == [0] * 5
+    assert alive == [0] * 7
     assert len(graphs) == 1 and len(graphs[0]) > 100
 
 
 def test_training_peak_holds_one_critic_graph(tmp_path):
-    # 6 iterations of the example config: one critic graph is about 39 MB;
-    # holding the previous iteration's graphs as well peaked at 113 MB
+    # 6 iterations of the example config peak at about 26 MB, with one
+    # critic graph that keeps only what its vjps read; keeping every
+    # intermediate array peaked at 64 MB, and holding the previous
+    # iteration's graphs as well at 113 MB
     root = pathlib.Path(__file__).resolve().parent.parent
     app = load_config(root / "examples_config.ini")
     rng = np.random.default_rng(app.train.rng_seed)
@@ -584,4 +604,4 @@ def test_training_peak_holds_one_critic_graph(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 90e6, peak / 1e6
+    assert peak < 40e6, peak / 1e6
