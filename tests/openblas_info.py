@@ -1,11 +1,13 @@
-"""The core name and thread count of numpy's bundled OpenBLAS, and numpy's
-enabled SIMD dispatch targets.
+"""The core name and thread count of numpy's bundled OpenBLAS, numpy's
+enabled SIMD dispatch targets, and the golden-digest key built from them.
 
 The seeded training trajectory depends on all three, as each dgemm kernel
 and thread path rounds differently, and so do numpy's log10, exp and power
 on each dispatch target. The OpenBLAS values are read through ctypes,
 "unknown" when no bundled library exports the symbol. The dispatch targets
-honour NPY_DISABLE_CPU_FEATURES. Print them with
+honour NPY_DISABLE_CPU_FEATURES. golden_key() names the table of
+tests/golden_digests.json that tests/test_golden.py compares with. Print
+them with
 
     python tests/openblas_info.py
 """
@@ -50,7 +52,18 @@ def numpy_dispatch():
     return " ".join(enabled) or "none"
 
 
+def golden_key():
+    """numpy and scipy versions, numpy's highest enabled dispatch target and
+    the OpenBLAS core and thread count: what the bytes of every output
+    depend on, as one string."""
+    import scipy
+    return (f"numpy {np.__version__}, scipy {scipy.__version__}, "
+            f"{numpy_dispatch().split()[-1]}, OpenBLAS {openblas_core()} "
+            f"x{openblas_threads()}")
+
+
 if __name__ == "__main__":
     print("OpenBLAS core:", openblas_core())
     print("OpenBLAS threads:", openblas_threads())
     print("numpy SIMD dispatch:", numpy_dispatch())
+    print("golden-digest key:", golden_key())
