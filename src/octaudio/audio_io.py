@@ -151,7 +151,7 @@ def write_wav(buf, path):
     )
     header += b"data" + struct.pack("<I", data_size)
     # C-ordered, so each chunk's int16 copy is in frame order whatever the
-    # layout of samples (mdct_inverse returns a transposed view)
+    # layout of samples
     scratch = np.empty((min(len(samples), WRITE_CHUNK_FRAMES), channels))
     try:
         with open(path, "wb") as fh:

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import audio_io, datasets, psycho, spectral
+from . import audio_io, datasets, mdct, psycho, spectral
 from .config import AppConfig, int_list, load_config
 from .errors import (
     ConfigError,
@@ -26,15 +26,6 @@ from .errors import (
     ParseError,
     ShapeError,
     UnsupportedFormat,
-)
-from .mdct import (
-    MdctTensor,
-    channel_sum,
-    mdct_forward_fast,
-    mdct_inverse,
-    read_amplitudes,
-    tensor_header,
-    write_amplitudes,
 )
 from .nn import autodiff as ad
 from .nn.model import (
@@ -114,7 +105,7 @@ def _read_trimmed(wav_path, chunk):
 
 def _pass_bounds(num_blocks, unit=1):
     """(m0, m1) block ranges of PASS_BLOCKS blocks, rounded up to a
-    multiple of unit, in order.
+    multiple of unit (which must divide num_blocks), in order.
 
     Only a one-block track has a one-block pass: numpy multiplies a one-row
     matrix through gemv, which sums in another order than the whole
@@ -128,23 +119,6 @@ def _pass_bounds(num_blocks, unit=1):
     if len(starts) > 1 and starts[-1] == num_blocks - 1:
         starts.pop()
     return zip(starts, starts[1:] + [num_blocks])
-
-
-def _forward_passes(buf, bands, unit=1):
-    """(m0, m1, amplitudes): the forward MDCT of blocks [m0, m1) of a trimmed
-    buffer, pass by pass, equal to those blocks of the whole-track
-    transform. Block m reads samples [mN - N/2, mN + 3N/2), so a pass
-    transforms one extra block on each side and drops them. Pass bounds
-    are multiples of unit blocks, which must divide the block count.
-    No local holds a pass while the next one is computed; the loops over
-    the passes delete theirs at the end of each pass."""
-    samples, rate = buf.samples, buf.sample_rate_hz
-    num_blocks = len(samples) // bands
-    for m0, m1 in _pass_bounds(num_blocks, unit):
-        lo, hi = max(m0 - 1, 0), min(m1 + 1, num_blocks)
-        yield m0, m1, mdct_forward_fast(
-            audio_io.AudioBuffer(samples[lo * bands:hi * bands], rate),
-            bands).amplitudes[m0 - lo:m1 - lo]
 
 
 def cmd_analyze(args):
@@ -168,15 +142,16 @@ def cmd_analyze(args):
     with open(mdct_path, "wb") as mdct_fh, \
             open(os.path.join(args.out_dir, "thresholds.csv"), "w",
                  newline="") as csv_fh:
-        mdct_fh.write(tensor_header(num_blocks, bands, channels, rate))
+        mdct_fh.write(mdct.tensor_header(num_blocks, bands, channels, rate))
         csv_fh.write(psycho.THRESHOLDS_CSV_HEADER)
-        for m0, m1, amps in _forward_passes(buf, bands):
-            write_amplitudes(mdct_fh, amps)
+        for m0, m1 in _pass_bounds(num_blocks):
+            amps = mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes
+            mdct.write_amplitudes(mdct_fh, amps)
             thresholds = psycho.compute_thresholds(
                 amps, partition, args.alpha, args.db_reference)
             tau[m0:m1] = psycho.write_threshold_rows(csv_fh, thresholds, m0)
-            power_peak = max(power_peak,
-                             (channel_sum(np.square(amps)) / channels).max())
+            power_peak = max(power_peak, (mdct.channel_sum(np.square(amps))
+                                          / channels).max())
             amplitude_peak = max(amplitude_peak, np.abs(amps[:, :, 0]).max())
             del amps, thresholds
     spectral.write_tonality_csv(tau, bands / rate,
@@ -186,9 +161,9 @@ def cmd_analyze(args):
     signed = np.empty_like(power)
     with open(mdct_path, "rb") as fh:
         for m0, m1 in _pass_bounds(num_blocks):
-            amps = read_amplitudes(fh, m0, m1 - m0, bands, channels)
+            amps = mdct.read_amplitudes(fh, m0, m1 - m0, bands, channels)
             power[:, m0:m1] = spectral.db_pixels(
-                channel_sum(np.square(amps)) / channels, args.db_floor,
+                mdct.channel_sum(np.square(amps)) / channels, args.db_floor,
                 power_peak)
             signed[:, m0:m1] = spectral.signed_db_pixels(
                 amps[:, :, 0], args.db_floor, amplitude_peak)
@@ -201,57 +176,33 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _add_noise_and_report(amps, partition, rng, args, sums):
-    """Noisy copy of (K, N, C) amplitudes from one threshold computation.
-
-    Adds to sums, per bin and summed over blocks and channels, the added
-    power (row 0) and its ratio to the inaudible noise power sigma^2,
-    which is c^2 at the design point (row 1); a bin with zero sigma adds 0.
-    """
-    sigma = psycho.noise_sigma(amps, partition, args.alpha, args.db_reference)
-    noisy = psycho.psychoacoustic_noise(amps, sigma, args.noise, rng)
-    added = noisy - amps
-    terms = np.zeros_like(added)
-    np.divide(added, sigma, out=terms, where=sigma > 0)
-    sums[1] += channel_sum(np.square(terms, out=terms)).sum(axis=0)
-    sums[0] += channel_sum(np.multiply(added, added, out=terms)).sum(axis=0)
-    return noisy
-
-
 def cmd_roundtrip(args):
     """Forward, noise and inverse in passes of PASS_BLOCKS blocks.
 
     Every stage is exact per block, so only the (T, C) input and output
-    grow with the track. A pass's inverse laps onto the previous pass's
-    last noisy block and fills output samples [m0 N - N/2, m1 N - N/2); the
-    track ends are exact at both ends. One generator draws the noise pass
-    by pass, the same stream as one draw.
+    grow with the track. One generator draws the noise pass by pass, the
+    same stream as one draw.
     """
-    bands, half = args.bands, args.bands // 2
+    bands = args.bands
     buf = _read_trimmed(args.wav, bands)
-    samples, rate = buf.samples, buf.sample_rate_hz
-    num_blocks = len(samples) // bands
-    partition = psycho.bark_partition(rate, bands)
+    num_blocks = len(buf) // bands
+    partition = psycho.bark_partition(buf.sample_rate_hz, bands)
     rng = np.random.default_rng(args.seed)
-    out = np.empty_like(samples)
+    out = np.empty_like(buf.samples)
     sums = np.zeros((2, bands))
-    previous = np.empty((0, bands, buf.channels))   # last noisy block
-    for m0, m1, amps in _forward_passes(buf, bands):
-        noisy = _add_noise_and_report(amps, partition, rng, args, sums)
-        lapped = mdct_inverse(MdctTensor(np.concatenate([previous, noisy]), rate))
-        first = (m0 - len(previous)) * bands       # sample 0 of lapped
-        begin = m0 * bands - half if m0 else 0
-        end = m1 * bands - half if m1 < num_blocks else len(samples)
-        out[begin:end] = lapped.samples[begin - first:end - first]
-        previous = noisy[-1:].copy()    # a view would keep the whole pass
-        del amps, noisy, lapped
-    audio_io.write_wav(audio_io.AudioBuffer(out, rate), args.out_wav)
+    previous = None     # the last noisy block, a copy: not a view of a pass
+    for m0, m1 in _pass_bounds(num_blocks):
+        noisy = psycho.add_noise_and_report(
+            mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes, partition,
+            args.noise, rng, sums, args.alpha, args.db_reference)
+        mdct.mdct_inverse_into(out, noisy, m0, previous)
+        previous = noisy[-1].copy()
+        del noisy
+    audio_io.write_wav(audio_io.AudioBuffer(out, buf.sample_rate_hz),
+                       args.out_wav)
 
-    pool = partition.pooling_matrix()
-    bins_per_band = np.maximum(pool.sum(axis=0), 1)
-    means = sums / (num_blocks * buf.channels)
-    mean_power = means[0] @ pool / bins_per_band
-    ratio = means[1] @ pool / bins_per_band
+    mean_power, ratio = psycho.band_report(sums, partition,
+                                           num_blocks * buf.channels)
     say(f"wrote {args.out_wav} (noise scale c = {args.noise})")
     print("band     mid_hz   mean_noise_power   noise/threshold ratio")
     for j in range(partition.band_count):
@@ -276,11 +227,12 @@ def cmd_reduce(args):
     buf = _read_trimmed(args.wav, bands * 2 ** folds)
     num_blocks = len(buf) // bands
     grids = [np.empty((num_blocks >> k, bands >> k)) for k in range(folds + 1)]
-    for m0, m1, amps in _forward_passes(buf, bands, 2 ** folds):
-        levels = spectral.reduce_spectrogram(spectral.spectrogram(amps), folds)
+    for m0, m1 in _pass_bounds(num_blocks, 2 ** folds):
+        levels = spectral.reduce_spectrogram(spectral.spectrogram(
+            mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes), folds)
         for k, values in enumerate(levels):
-            grids[k][m0 >> k:m1 >> k] = channel_sum(values) / buf.channels
-        del amps, levels, values
+            grids[k][m0 >> k:m1 >> k] = mdct.channel_sum(values) / buf.channels
+        del levels, values
     os.makedirs(args.out_dir, exist_ok=True)
     for level, grid in enumerate(grids):
         peak = grid.max(initial=0.0)
@@ -337,12 +289,13 @@ def _load_dataset(app: AppConfig, rng):
         samples = buf.samples
         if samples.shape[1] != c_out:
             if c_out == 1:
-                samples = (channel_sum(samples) / samples.shape[1])[:, np.newaxis]
+                samples = (mdct.channel_sum(samples)
+                           / samples.shape[1])[:, np.newaxis]
             else:
                 samples = np.repeat(samples[:, :1], c_out, axis=1)
         buf = audio_io.AudioBuffer(samples, app.sample_rate_hz)
         for piece in audio_io.slice_segments(buf, segment, segment):
-            tensors.append(mdct_forward_fast(piece, n_out))
+            tensors.append(mdct.mdct_forward_fast(piece, n_out))
     if not tensors:
         raise ConfigError(f"no segment of {segment} samples fits the input audio")
     return tensors
@@ -374,7 +327,8 @@ def _write_sample(z, params, cfg, sample_rate, path):
     the output amplitudes, not with the last block's activations."""
     with ad.no_grad():
         amplitudes = generator(ad.constant(z), params, cfg).data[0]
-    audio_io.write_wav(mdct_inverse(MdctTensor(amplitudes, sample_rate)), path)
+    audio_io.write_wav(
+        mdct.mdct_inverse(mdct.MdctTensor(amplitudes, sample_rate)), path)
 
 
 def cmd_sample(args):

@@ -10,6 +10,13 @@ Two forward paths are provided: a direct evaluation of the cosine sum (the
 reference used by tests) and an O(N log N) path that folds each frame into a
 type-IV DCT. The inverse runs the fast path backwards. Every path transforms
 all channels at once.
+
+Block ranges: block m reads samples [mN - N/2, mN + 3N/2). The fast forward
+of blocks [m0, m1) reads only samples [m0 N - N/2, m1 N + N/2), and is
+bitwise those rows of the whole track's. Given block m0 - 1, the inverse of
+blocks [m0, m1) writes the samples they finish, [m0 N - N/2, m1 N - N/2)
+extended to 0 and T at the track ends; over any split of the blocks into
+ranges it writes the bytes of the whole-track inverse.
 """
 
 import functools
@@ -35,25 +42,10 @@ class MdctTensor:
     sample_rate_hz: int
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.float64)
-        if amps.ndim == 2:
-            amps = amps[:, :, np.newaxis]
-        if amps.ndim != 3:
-            raise ShapeError("amplitudes must have shape (blocks, bands[, channels])")
-        self.amplitudes = amps
+        self.amplitudes = np.asarray(self.amplitudes, dtype=np.float64)
+        if self.amplitudes.ndim != 3:
+            raise ShapeError("amplitudes must have shape (blocks, bands, channels)")
         self.sample_rate_hz = int(self.sample_rate_hz)
-
-    @property
-    def num_blocks(self):
-        return self.amplitudes.shape[0]
-
-    @property
-    def band_count(self):
-        return self.amplitudes.shape[1]
-
-    @property
-    def channels(self):
-        return self.amplitudes.shape[2]
 
 
 def channel_sum(x):
@@ -104,22 +96,26 @@ def _validate_forward(buf, band_count):
         raise ShapeError(
             f"signal length {len(buf)} is not a positive multiple of {band_count}"
         )
+    return len(buf) // band_count
 
 
-def _frames(samples, band_count):
-    """Windowless frames (C, M, 2N) at hop N over the half-block zero-padded
-    (T, C) signal: one strided view of one padded array for all channels."""
+def _frames(samples, band_count, m0, m1):
+    """Windowless frames (C, m1 - m0, 2N) of blocks [m0, m1) at hop N over
+    the (T, C) signal, zeros outside it: one strided view of one padded
+    copy of samples [m0 N - N/2, m1 N + N/2) for all channels."""
     half = band_count // 2
-    padded = np.zeros((samples.shape[1], len(samples) + band_count))
-    padded[:, half:half + len(samples)] = samples.T
+    lo, hi = m0 * band_count - half, m1 * band_count + half
+    padded = np.zeros((samples.shape[1], hi - lo))
+    first, stop = max(lo, 0), min(hi, len(samples))
+    padded[:, first - lo:stop - lo] = samples[first:stop].T
     view = np.lib.stride_tricks.sliding_window_view(padded, 2 * band_count, axis=1)
     return view[:, ::band_count]
 
 
 def mdct_forward_naive(buf, band_count):
     """Direct evaluation of the cosine sum of the transform. O(M * N^2)."""
-    _validate_forward(buf, band_count)
-    frames = _frames(buf.samples, band_count) * vorbis_window(band_count)
+    m = _validate_forward(buf, band_count)
+    frames = _frames(buf.samples, band_count, 0, m) * vorbis_window(band_count)
     out = frames @ _cos_matrix(band_count)
     return MdctTensor(np.moveaxis(out, 0, 2), buf.sample_rate_hz)
 
@@ -135,10 +131,15 @@ def _fold(frames):
     return folded
 
 
-def mdct_forward_fast(buf, band_count):
-    """Same transform via frame folding and a type-IV DCT. O(M * N log N)."""
-    _validate_forward(buf, band_count)
-    folded = _fold(_frames(buf.samples, band_count) * vorbis_window(band_count))
+def mdct_forward_fast(buf, band_count, m0=0, m1=None):
+    """Blocks [m0, m1) of the transform (to the end when m1 is None) via
+    frame folding and a type-IV DCT. O(K * N log N) for K blocks."""
+    num_blocks = _validate_forward(buf, band_count)
+    m1 = num_blocks if m1 is None else m1
+    if not 0 <= m0 < m1 <= num_blocks:
+        raise ShapeError(f"blocks [{m0}, {m1}) are not within [0, {num_blocks})")
+    folded = _fold(_frames(buf.samples, band_count, m0, m1)
+                   * vorbis_window(band_count))
     # batch-parallel DCT; each 1-D transform is bitwise deterministic
     out = scipy.fft.dct(folded, type=4, axis=-1, workers=-1)
     out *= 0.5
@@ -146,35 +147,55 @@ def mdct_forward_fast(buf, band_count):
                       buf.sample_rate_hz)
 
 
-def mdct_inverse(tensor):
-    """Overlap-add synthesis; exact inverse of the forward transform.
+def mdct_inverse_into(out, amplitudes, m0=0, previous=None):
+    """Write into out, the (T, C) track, the samples that the (K, N, C)
+    amplitudes of blocks [m0, m0 + K) finish given previous, block m0 - 1's
+    (N, C) amplitudes (None for m0 = 0).
 
     DCT-IV is its own inverse up to 2/N, so DCT-IV / N gives back the folded
     frames. The fold's adjoint (a, b, c, d) = (hi, -hi_r, -lo_r, -lo) is
     windowed and overlap-added: first halves onto block m, second halves
-    onto block m + 1. The first and last N/2 samples are covered by one
-    window only (their aliasing partner lies in the zero padding), so they
+    onto block m + 1. The track's first and last N/2 samples lie under one
+    window only (their aliasing partner is in the zero padding), so they
     are rescaled by 1/w^2.
     """
-    band_count = tensor.band_count
-    if not np.all(np.isfinite(tensor.amplitudes)):
+    band_count, half = amplitudes.shape[1], amplitudes.shape[1] // 2
+    num_blocks, m1 = len(out) // band_count, m0 + len(amplitudes)
+    if not 0 <= m0 < m1 <= num_blocks or (previous is None) != (m0 == 0):
+        raise ShapeError(f"blocks [{m0}, {m1}) do not lap into {num_blocks} blocks")
+    if m0:
+        amplitudes = np.concatenate([previous[np.newaxis], amplitudes])
+    if not np.all(np.isfinite(amplitudes)):
         raise ValueError("tensor amplitudes must be finite")
-    num_blocks, half = tensor.num_blocks, band_count // 2
-    folded = scipy.fft.dct(np.moveaxis(tensor.amplitudes, 2, 0), type=4,
+    folded = scipy.fft.dct(np.moveaxis(amplitudes, 2, 0), type=4,
                            axis=-1, workers=-1)
     folded /= band_count
     lo, hi = folded[..., :half], folded[..., half:]
     w = np.split(vorbis_window(band_count), 4)   # per quarter
 
-    acc = np.zeros((tensor.channels, num_blocks + 1, band_count))
+    acc = np.zeros((amplitudes.shape[2], len(amplitudes) + 1, band_count))
     acc[:, :-1, :half] = hi * w[0]
     acc[:, :-1, half:] = hi[..., ::-1] * -w[1]
     acc[:, 1:, :half] -= lo[..., ::-1] * w[2]
     acc[:, 1:, half:] -= lo * w[3]
-    y = acc.reshape(tensor.channels, -1)[:, half:half + num_blocks * band_count]
-    y[:, :half] /= w[1] * w[1]
-    y[:, -half:] /= w[2] * w[2]
-    return AudioBuffer(y.T, tensor.sample_rate_hz)
+    start = (m1 - len(amplitudes)) * band_count - half   # where acc starts
+    begin = max(m0 * band_count - half, 0)
+    end = m1 * band_count - half if m1 < num_blocks else len(out)
+    y = acc.reshape(len(acc), -1)[:, begin - start:end - start]
+    if m0 == 0:
+        y[:, :half] /= w[1] * w[1]
+    if m1 == num_blocks:
+        y[:, -half:] /= w[2] * w[2]
+    out[begin:end] = y.T
+
+
+def mdct_inverse(tensor):
+    """Overlap-add synthesis of the whole track, the exact inverse of the
+    forward transform: mdct_inverse_into of every block."""
+    blocks, bands, channels = tensor.amplitudes.shape
+    out = np.empty((blocks * bands, channels))
+    mdct_inverse_into(out, tensor.amplitudes)
+    return AudioBuffer(out, tensor.sample_rate_hz)
 
 
 def tensor_header(num_blocks, band_count, channels, sample_rate_hz):

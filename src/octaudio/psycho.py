@@ -248,6 +248,31 @@ def psychoacoustic_noise(amplitudes, sigma, scale=1.0, rng_seed=0):
     return noisy
 
 
+def add_noise_and_report(amplitudes, partition, scale, rng, sums,
+                         alpha=DEFAULT_ALPHA, db_reference=DEFAULT_DB_REFERENCE):
+    """psychoacoustic_noise of (K, N, C) amplitudes at their noise_sigma.
+
+    Adds to the (2, N) sums, per bin and over blocks and channels, the added
+    power (row 0) and its ratio to sigma^2 (row 1; 0 where sigma is 0).
+    """
+    sigma = noise_sigma(amplitudes, partition, alpha, db_reference)
+    noisy = psychoacoustic_noise(amplitudes, sigma, scale, rng)
+    added = noisy - amplitudes
+    terms = np.zeros_like(added)
+    np.divide(added, sigma, out=terms, where=sigma > 0)
+    sums[1] += channel_sum(np.square(terms, out=terms)).sum(axis=0)
+    sums[0] += channel_sum(np.multiply(added, added, out=terms)).sum(axis=0)
+    return noisy
+
+
+def band_report(sums, partition, count):
+    """Band means (added power, ratio) of add_noise_and_report's sums over
+    count blocks times channels: each bin's mean, averaged over the band."""
+    pool = partition.pooling_matrix()
+    bins_per_band = np.maximum(pool.sum(axis=0), 1)
+    return [row @ pool / bins_per_band for row in sums / count]
+
+
 def write_thresholds_csv(amplitudes, partition, path, alpha=DEFAULT_ALPHA,
                          db_reference=DEFAULT_DB_REFERENCE):
     """Dump per-block per-band thresholds (channel-averaged) of (M, N, C)

@@ -225,7 +225,7 @@ def test_criterion_8_noise_statistics(tone_1100_blocks):
     pool = partition.pooling_matrix()
     normalized = (added[:, :, 0] / predicted[:, :, 0]) ** 2
     per_band = (normalized @ pool).sum(axis=0) / (
-        tensor.num_blocks * pool.sum(axis=0)
+        len(tensor.amplitudes) * pool.sum(axis=0)
     )
     assert np.all(per_band >= 0.8)
     assert np.all(per_band <= 1.2)

@@ -192,7 +192,7 @@ sample_values = st.one_of(
 def test_write_matches_whole_signal_writer(frames, channels, transposed, data):
     samples = data.draw(arrays(np.float64, (frames, channels),
                                elements=sample_values))
-    if transposed:      # the layout mdct_inverse returns
+    if transposed:      # a channel-major layout
         samples = np.ascontiguousarray(samples.T).T
     buf = AudioBuffer(samples, 22016)
     with tempfile.TemporaryDirectory() as tmp, \

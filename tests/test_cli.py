@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octaudio import cli, psycho, spectral
+from octaudio import cli, mdct, psycho, spectral
 from octaudio.audio_io import AudioBuffer, read_wav, write_wav
 from octaudio.cli import main
 from octaudio.config import load_config
@@ -206,7 +206,7 @@ def thresholds_step(amps, partition, alpha=psycho.DEFAULT_ALPHA,
 
 
 def reference_noise_and_report(amps, partition, rng, args, sums):
-    """cli._add_noise_and_report and psychoacoustic_noise as whole-array
+    """psycho.add_noise_and_report and psychoacoustic_noise as whole-array
     expressions: the bytes the report and the noise must keep."""
     step = thresholds_step(amps, partition, args.alpha, args.db_reference)
     z = rng.standard_normal(amps.shape)
@@ -238,8 +238,9 @@ def test_noise_report_is_bitwise_the_whole_array_expressions(channels, noise):
         level = 10.0 ** rng.uniform(-12.0, 0.0, (blocks, 1, channels))
         level[::7] = 0.0
         amps = rng.standard_normal((blocks, bands, channels)) * level
-        noisy = cli._add_noise_and_report(amps, partition, fast_rng, args,
-                                          fast)
+        noisy = psycho.add_noise_and_report(amps, partition, args.noise,
+                                            fast_rng, fast, args.alpha,
+                                            args.db_reference)
         expected = reference_noise_and_report(amps, partition, slow_rng,
                                               args, slow)
         np.testing.assert_array_equal(noisy, expected)
@@ -671,30 +672,34 @@ def pass_arrays(value):
 def test_pass_loops_free_each_pass_before_the_next(tmp_path, monkeypatch,
                                                    command):
     # when pass k + 1's forward transform starts, every array made for pass
-    # k (its amplitudes, thresholds, spectrogram levels, noisy copy and
-    # inverse) is dead: a pass loop holds one pass, not two
-    made, starts = [], []
+    # k (its amplitudes, thresholds, spectrogram levels and noisy copy) is
+    # dead: a pass loop holds one pass, not two. Each stage the command runs
+    # is called once per pass, so a patch the command no longer calls
+    # fails the test instead of checking nothing.
+    made, starts, calls = [], [], {}
 
-    def tracked(fn):
+    def track(module, name):
+        fn = getattr(module, name)
+
         def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            if name == "mdct_forward_fast":
+                starts.append(sum(ref() is not None for ref in made))
             result = fn(*args, **kwargs)
             made.extend(weakref.ref(a) for a in pass_arrays(result))
             return result
-        return call
-
-    def forward(buf, bands):
-        starts.append(sum(ref() is not None for ref in made))
-        return tracked(mdct_forward_fast)(buf, bands)
+        monkeypatch.setattr(module, name, call)
 
     monkeypatch.setattr(cli, "PASS_BLOCKS", 8)
-    monkeypatch.setattr(cli, "mdct_forward_fast", forward)
-    monkeypatch.setattr(cli, "mdct_inverse", tracked(mdct_inverse))
-    monkeypatch.setattr(cli, "_add_noise_and_report",
-                        tracked(cli._add_noise_and_report))
-    monkeypatch.setattr(psycho, "compute_thresholds",
-                        tracked(psycho.compute_thresholds))
-    monkeypatch.setattr(spectral, "reduce_spectrogram",
-                        tracked(spectral.reduce_spectrogram))
+    stages = {
+        "analyze": [(mdct, "mdct_forward_fast"), (psycho, "compute_thresholds")],
+        "roundtrip": [(mdct, "mdct_forward_fast"), (psycho, "compute_thresholds"),
+                      (psycho, "add_noise_and_report"),
+                      (mdct, "mdct_inverse_into")],
+        "reduce": [(mdct, "mdct_forward_fast"), (spectral, "reduce_spectrogram")],
+    }
+    for module, name in {stage for run in stages.values() for stage in run}:
+        track(module, name)
     wav = tmp_path / "in.wav"
     rng = np.random.default_rng(0)
     write_wav(AudioBuffer(0.1 * rng.standard_normal((16 * 60, 2)), FS), wav)
@@ -702,6 +707,7 @@ def test_pass_loops_free_each_pass_before_the_next(tmp_path, monkeypatch,
     assert main([command, str(wav), str(out), "--bands", "16"]) == 0
     assert len(starts) == 8 and made
     assert starts == [0] * 8
+    assert calls == {name: 8 for _, name in stages[command]}
 
 
 def test_shapes_published_95s_model(capsys):
@@ -1270,7 +1276,7 @@ def check_sample_matches_batched(tmp, seed, count, output_channels):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "generator", recording_generator)
-        mp.setattr(cli, "mdct_inverse", recording_inverse)
+        mp.setattr(mdct, "mdct_inverse", recording_inverse)
         mp.setenv("OCTAUDIO_VERBOSE", "0")
         assert main(["sample", str(checkpoint), streamed, "--count", str(count),
                      "--seed", str(seed)]) == 0

@@ -14,6 +14,7 @@ from octaudio.mdct import (
     mdct_forward_fast,
     mdct_forward_naive,
     mdct_inverse,
+    mdct_inverse_into,
     save_tensor,
     vorbis_window,
 )
@@ -127,7 +128,7 @@ def test_stereo_roundtrip():
     x = rng.uniform(-1, 1, (512, 2))
     buf = AudioBuffer(x, 44100)
     tensor = mdct_forward_fast(buf, 64)
-    assert tensor.channels == 2
+    assert tensor.amplitudes.shape[2] == 2
     back = mdct_inverse(tensor)
     assert np.max(np.abs(back.samples - x)) <= 1e-10
 
@@ -179,9 +180,64 @@ def test_channels_transform_independently_bit_for_bit(n):
         mono = AudioBuffer(stereo.samples[:, c], 22016)
         np.testing.assert_array_equal(
             tensor.amplitudes[:, :, c], mdct_forward_fast(mono, n).amplitudes[:, :, 0])
-        mono_tensor = MdctTensor(tensor.amplitudes[:, :, c], 22016)
+        with pytest.raises(ShapeError):     # amplitudes are (M, N, C)
+            MdctTensor(tensor.amplitudes[:, :, c], 22016)
+        mono_tensor = MdctTensor(tensor.amplitudes[:, :, c:c + 1], 22016)
         np.testing.assert_array_equal(
             back.samples[:, c], mdct_inverse(mono_tensor).samples[:, 0])
+
+
+BLOCK_RANGE_BANDS = [8, 16, 32, 64, 128, 256]
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(data=st.data(), n=st.sampled_from(BLOCK_RANGE_BANDS),
+       channels=st.integers(1, 2), blocks=st.integers(1, 12))
+def test_forward_of_a_block_range_is_those_rows_of_the_whole(data, n, channels,
+                                                             blocks):
+    # the drawn range, the ranges from it to either track end and its first
+    # block; samples outside what a range reads are NaN
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    samples = rng.uniform(-1, 1, (blocks * n, channels))
+    whole = mdct_forward_fast(AudioBuffer(samples, 22016), n).amplitudes
+    m0 = data.draw(st.integers(0, blocks - 1))
+    m1 = data.draw(st.integers(m0 + 1, blocks))
+    for first, stop in [(m0, m1), (0, m1), (m0, blocks), (m0, m0 + 1)]:
+        poisoned = np.full_like(samples, np.nan)
+        lo, hi = max(first * n - n // 2, 0), stop * n + n // 2
+        poisoned[lo:hi] = samples[lo:hi]
+        part = mdct_forward_fast(AudioBuffer(poisoned, 22016), n, first, stop)
+        assert part.amplitudes.tobytes() == whole[first:stop].tobytes()
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(data=st.data(), n=st.sampled_from(BLOCK_RANGE_BANDS),
+       channels=st.integers(1, 2), blocks=st.integers(1, 12))
+def test_inverse_over_any_split_is_bitwise_the_whole(data, n, channels, blocks):
+    # the drawn split and the split into one-block ranges; every sample of
+    # the NaN-filled output must be written
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    amps = rng.standard_normal((blocks, n, channels))
+    whole = mdct_inverse(MdctTensor(amps, 22016)).samples
+    cuts = data.draw(st.sets(st.integers(1, blocks - 1))) if blocks > 1 else ()
+    for bounds in [sorted({0, *cuts, blocks}), range(blocks + 1)]:
+        out = np.full_like(whole, np.nan)
+        for m0, m1 in zip(bounds, bounds[1:]):
+            mdct_inverse_into(out, amps[m0:m1], m0, amps[m0 - 1] if m0 else None)
+        assert out.tobytes() == whole.tobytes()
+
+
+def test_block_ranges_outside_the_track_raise():
+    buf = AudioBuffer(np.zeros((64, 2)), 22016)
+    for m0, m1 in [(0, 5), (-1, 2), (2, 2), (3, 1)]:
+        with pytest.raises(ShapeError):
+            mdct_forward_fast(buf, 16, m0, m1)
+    out, amps = np.zeros((64, 2)), np.zeros((2, 16, 2))
+    for m0, previous in [(0, amps[0]), (1, None), (3, amps[0])]:
+        with pytest.raises(ShapeError):
+            mdct_inverse_into(out, amps, m0, previous)
 
 
 @pytest.mark.deep

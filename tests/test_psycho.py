@@ -249,7 +249,7 @@ def test_each_channel_thresholds_are_that_channel_alone(seed, channels, blocks,
 def csv_writer_thresholds(tensor, path):
     """write_thresholds_csv as a per-row csv.writer loop: the byte oracle.
     Returns the thresholds, as write_thresholds_csv does."""
-    partition = bark_partition(tensor.sample_rate_hz, tensor.band_count)
+    partition = bark_partition(tensor.sample_rate_hz, tensor.amplitudes.shape[1])
     thr = compute_thresholds(tensor.amplitudes, partition)
     mask = thr.mask.mean(axis=2)
     combined = thr.combined.mean(axis=2)
@@ -257,7 +257,7 @@ def csv_writer_thresholds(tensor, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["block", "bark_band", "I_abs", "I_mask", "combined", "tau"])
-        for m in range(tensor.num_blocks):
+        for m in range(len(tensor.amplitudes)):
             for j in range(partition.band_count):
                 writer.writerow([
                     m, j,
