@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octaudio import cli, mdct, psycho, spectral
-from octaudio.audio_io import AudioBuffer, read_wav, write_wav
+from octaudio.audio_io import AudioBuffer, read_wav, resample, write_wav
 from octaudio.cli import main
 from octaudio.config import load_config
 from octaudio.errors import ConfigError, ShapeError
@@ -966,6 +966,65 @@ def test_wav_dataset_downmixes_stereo_to_the_channel_mean(tmp_path):
     assert len(tensors) == len(mono) // (m * n) > 1
     for i, tensor in enumerate(tensors):
         piece = AudioBuffer(mono[i * m * n:(i + 1) * m * n], 2048)
+        assert (tensor.amplitudes.tobytes()
+                == mdct_forward_fast(piece, n).amplitudes.tobytes())
+
+
+def write_wavs_config(tmp_path, out_channels=1):
+    """The toy config, reading its corpus from tmp_path / "wavs"."""
+    (tmp_path / "wavs").mkdir()
+    config = tmp_path / "c.ini"
+    write_toy_config(config, out_channels=out_channels)
+    config.write_text(config.read_text().replace(
+        "source = tones", f"source = wavs\npath = {tmp_path / 'wavs'}"))
+    return config
+
+
+@pytest.mark.parametrize("name, samples", [
+    ("notes.txt", 64),      # no .wav file
+    ("short.wav", 63),      # one sample short of the toy model's segment
+])
+def test_wav_corpus_without_a_segment_exit_1_before_any_work(tmp_path, capsys,
+                                                            name, samples):
+    config = write_wavs_config(tmp_path)
+    write_wav(AudioBuffer(np.full(samples, 0.25), 2048), tmp_path / "wavs" / name)
+    run_dir = tmp_path / "run"
+    assert main(["train", str(config), "--out-dir", str(run_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not run_dir.exists()
+
+
+def test_wav_corpus_repeats_a_mono_file_on_every_channel(tmp_path):
+    config = write_wavs_config(tmp_path, out_channels=2)
+    wav = tmp_path / "wavs" / "mono.wav"
+    write_wav(AudioBuffer(0.3 * np.random.default_rng(4).standard_normal(200),
+                          2048), wav)
+    app = load_config(config)
+    tensors = cli._load_dataset(app, np.random.default_rng(0))
+    mono = read_wav(wav).samples
+    m, n, _ = app.model.output_shape
+    assert len(tensors) == len(mono) // (m * n) > 1
+    for i, tensor in enumerate(tensors):
+        piece = AudioBuffer(mono[i * m * n:(i + 1) * m * n], 2048)
+        expected = mdct_forward_fast(piece, n).amplitudes[:, :, 0].tobytes()
+        for c in range(2):
+            assert tensor.amplitudes[:, :, c].tobytes() == expected
+
+
+def test_wav_corpus_resamples_to_the_model_rate(tmp_path):
+    config = write_wavs_config(tmp_path)
+    wav = tmp_path / "wavs" / "fast.wav"
+    write_wav(AudioBuffer(0.3 * np.random.default_rng(5).standard_normal(420),
+                          4096), wav)
+    app = load_config(config)
+    tensors = cli._load_dataset(app, np.random.default_rng(0))
+    resampled = resample(read_wav(wav), 2048).samples
+    m, n, _ = app.model.output_shape
+    assert len(tensors) == len(resampled) // (m * n) > 1
+    for i, tensor in enumerate(tensors):
+        piece = AudioBuffer(resampled[i * m * n:(i + 1) * m * n], 2048)
         assert (tensor.amplitudes.tobytes()
                 == mdct_forward_fast(piece, n).amplitudes.tobytes())
 
