@@ -1,7 +1,7 @@
 """Perceptual audio toolkit: MDCT representation, psychoacoustic masking,
 octave-structured adversarial models and a small analysis CLI."""
 
-from .audio_io import AudioBuffer, read_wav, resample, slice_segments, write_wav
+from .audio_io import AudioBuffer, read_wav, resample, write_wav
 from .errors import (
     ConfigError,
     DivergenceError,

@@ -1,4 +1,4 @@
-"""WAV ingestion/emission, band-limited resampling and segment slicing.
+"""WAV ingestion/emission and band-limited resampling.
 
 Audio is held as float64 in [-1, 1]. Sixteen-bit samples are normalized with
 the asymmetric divisor 32768, and writes clamp to [-1, 1 - 2^-15] so a
@@ -195,26 +195,3 @@ def resample(buf, target_rate_hz):
     out = resample_poly(buf.samples, up, down, axis=0, window=h)
     n_out = len(buf) * target_rate_hz // buf.sample_rate_hz
     return AudioBuffer(out[:n_out], target_rate_hz)
-
-
-def slice_segments(buf, segment_samples, hop):
-    """Cut fixed-length segments starting at 0, hop, 2*hop, ...
-
-    The trailing partial segment is discarded; a segment longer than the
-    buffer yields an empty list.
-    """
-    segment_samples = int(segment_samples)
-    hop = int(hop)
-    if segment_samples <= 0 or hop <= 0:
-        raise ValueError("segment_samples and hop must be positive")
-    segments = []
-    start = 0
-    while start + segment_samples <= len(buf):
-        segments.append(
-            AudioBuffer(
-                buf.samples[start:start + segment_samples].copy(),
-                buf.sample_rate_hz,
-            )
-        )
-        start += hop
-    return segments

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import audio_io, datasets, mdct, psycho, spectral
-from .config import AppConfig, int_list, load_config
+from .config import int_list, load_config
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -268,44 +268,16 @@ def cmd_shapes(args):
     return EXIT_OK
 
 
-def _load_dataset(app: AppConfig, rng):
-    m_out, n_out, c_out = app.model.output_shape
-    if app.data_source == "tones":
-        return datasets.synthetic_tone_dataset(
-            rng, app.data_count, app.sample_rate_hz, m_out, n_out, c_out
-        )
-    wavs = sorted(
-        os.path.join(app.data_path, f)
-        for f in os.listdir(app.data_path)
-        if f.lower().endswith(".wav")
-    )
-    if not wavs:
-        raise ConfigError(f"no .wav files under {app.data_path!r}")
-    segment = m_out * n_out
-    tensors = []
-    for path in wavs:
-        buf = audio_io.read_wav(path)
-        buf = audio_io.resample(buf, app.sample_rate_hz)
-        samples = buf.samples
-        if samples.shape[1] != c_out:
-            if c_out == 1:
-                samples = (mdct.channel_sum(samples)
-                           / samples.shape[1])[:, np.newaxis]
-            else:
-                samples = np.repeat(samples[:, :1], c_out, axis=1)
-        buf = audio_io.AudioBuffer(samples, app.sample_rate_hz)
-        for piece in audio_io.slice_segments(buf, segment, segment):
-            tensors.append(mdct.mdct_forward_fast(piece, n_out))
-    if not tensors:
-        raise ConfigError(f"no segment of {segment} samples fits the input audio")
-    return tensors
-
-
 def cmd_train(args):
     app = load_config(args.config)
-    rng = np.random.default_rng(app.train.rng_seed)
-    dataset = _load_dataset(app, rng)
-    say(f"training on {len(dataset)} samples of shape {app.model.output_shape}, "
+    shape = app.model.output_shape
+    if app.data_source == "tones":
+        dataset = datasets.synthetic_tone_dataset(
+            np.random.default_rng(app.train.rng_seed), app.data_count,
+            app.sample_rate_hz, *shape)
+    else:
+        dataset = datasets.wav_dataset(app.data_path, app.sample_rate_hz, *shape)
+    say(f"training on {len(dataset)} samples of shape {shape}, "
         f"{app.train.iterations} iterations")
 
     every = max(1, app.train.iterations // 10)

@@ -112,6 +112,10 @@ class AppConfig:
             raise ConfigError("[data] source = wavs needs a path")
         if self.data_count < 1:
             raise ConfigError("[data] count must be >= 1")
+        bands = self.model.output_shape[1]     # the MDCT's band count
+        if bands < 8 or bands & (bands - 1):
+            raise ConfigError(f"the model's {bands} output bands are not a "
+                              "power of two >= 8")
 
 
 def _convert(section, key, kind, raw):

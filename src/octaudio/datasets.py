@@ -1,9 +1,13 @@
-"""Synthetic harmonic-tone corpus so training and tests need no real audio."""
+"""Training corpora of MDCT tensors: synthetic harmonic tones, so training
+and tests need no real audio, and the segments of a directory of WAVs."""
+
+import os
 
 import numpy as np
 
-from .audio_io import AudioBuffer
-from .mdct import mdct_forward_fast
+from .audio_io import AudioBuffer, read_wav, resample
+from .errors import ConfigError
+from .mdct import channel_sum, mdct_forward_fast
 
 FUNDAMENTAL_RANGE_HZ = (110.0, 880.0)
 MAX_HARMONICS = 4
@@ -47,3 +51,30 @@ def synthetic_tone_dataset(rng, count, sample_rate_hz, num_blocks, band_count,
         )
         for _ in range(count)
     ]
+
+
+def wav_dataset(directory, sample_rate_hz, num_blocks, band_count, channels):
+    """MDCT tensors of every whole, back-to-back segment of num_blocks *
+    band_count samples of each .wav file under directory (in name order),
+    resampled to sample_rate_hz. A mono model takes the channel mean, and a
+    model with more channels than the file repeats its channel 0.
+    ConfigError if no .wav file or no whole segment is found."""
+    wavs = sorted(os.path.join(directory, f) for f in os.listdir(directory)
+                  if f.lower().endswith(".wav"))
+    if not wavs:
+        raise ConfigError(f"no .wav files under {directory!r}")
+    segment = num_blocks * band_count
+    tensors = []
+    for path in wavs:
+        samples = resample(read_wav(path), sample_rate_hz).samples
+        if samples.shape[1] != channels:
+            if channels == 1:
+                samples = (channel_sum(samples) / samples.shape[1])[:, np.newaxis]
+            else:
+                samples = np.repeat(samples[:, :1], channels, axis=1)
+        for start in range(0, len(samples) - segment + 1, segment):
+            tensors.append(mdct_forward_fast(AudioBuffer(
+                samples[start:start + segment], sample_rate_hz), band_count))
+    if not tensors:
+        raise ConfigError(f"no segment of {segment} samples fits the input audio")
+    return tensors

@@ -123,16 +123,16 @@ def quantization_noise_sigma(batch, partition, alpha, db_reference):
 def wgan_gp_losses(real, fake, discriminator_fn, gp_lambda, drift_epsilon, rng):
     """Critic loss plus scalar diagnostics: wasserstein, penalty, d_fake.
 
-    real is a (B, M, N, C) array and fake a Tensor of the same shape, both
-    already noised. The only draw from rng is xhat's interpolation weights.
+    real and fake are (B, M, N, C) arrays, both already noised. The only
+    draw from rng is xhat's interpolation weights.
     """
-    if tuple(real.shape) != tuple(fake.shape):
+    if real.shape != fake.shape:
         raise ShapeError(f"real {real.shape} and fake {fake.shape} differ")
     d_real = discriminator_fn(ad.constant(real))
-    d_fake = discriminator_fn(fake)
+    d_fake = discriminator_fn(ad.constant(fake))
 
     u = rng.uniform(size=(real.shape[0], 1, 1, 1))
-    xhat = ad.Tensor(u * real + (1.0 - u) * fake.data, requires_grad=True)
+    xhat = ad.Tensor(u * real + (1.0 - u) * fake, requires_grad=True)
     (grad_x,) = ad.grad(
         ad.sum_along(discriminator_fn(xhat)), [xhat], create_graph=True
     )
@@ -234,10 +234,10 @@ def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
                 real = data[picks]
                 z = rng.standard_normal((train_cfg.batch_size, model_cfg.latent_dim))
                 with ad.no_grad():
-                    fake = generator(ad.constant(z), g_params, model_cfg)
+                    fake = generator(ad.constant(z), g_params, model_cfg).data
 
                 loss_d, stats = wgan_gp_losses(
-                    real + noise(real), ad.add(fake, ad.constant(noise(fake.data))),
+                    real + noise(real), fake + noise(fake),
                     d_fn, train_cfg.gp_lambda, train_cfg.drift_epsilon, rng,
                 )
                 d_grads = ad.grad(loss_d, [d_params[k] for k in d_names])
@@ -259,7 +259,7 @@ def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
                 else:
                     loss_g_value = -stats["d_fake"]    # of the critic step's fake
 
-                gen_tau = float(np.mean(tonality(np.moveaxis(fake.data, 3, 1))))
+                gen_tau = float(np.mean(tonality(np.moveaxis(fake, 3, 1))))
                 if not (np.isfinite(loss_d_value) and np.isfinite(loss_g_value)):
                     raise DivergenceError(it)
 

@@ -30,8 +30,6 @@ ZWICKER_EDGES_HZ = (
 DEFAULT_ALPHA = 0.3
 DEFAULT_DB_REFERENCE = 96.0
 AMPLITUDE_FLOOR = 1e-12
-# blocks per write in write_threshold_rows
-CSV_CHUNK_BLOCKS = 256
 THRESHOLDS_CSV_HEADER = "block,bark_band,I_abs,I_mask,combined,tau\r\n"
 
 
@@ -295,8 +293,7 @@ def write_threshold_rows(fh, thr, first_block):
     Rows are (block, bark_band, I_abs, I_mask, combined, tau), channel-
     averaged, in the bytes of an excel-dialect csv.writer, "\r\n" line
     ends included: I_abs, I_mask and combined as format(x, ".12e"), tau as
-    format(x, ".9f"). Rows are assembled CSV_CHUNK_BLOCKS blocks at a time
-    as one byte matrix, so they are never held in memory whole, and
+    format(x, ".9f"). The rows are assembled as one byte matrix, and
     combined is formatted only where it differs from I_mask.
     """
     channels = thr.mask.shape[-1]
@@ -306,17 +303,12 @@ def write_threshold_rows(fh, thr, first_block):
     absolute = _decimal.scientific(thr.absolute)
     block = _decimal.fixed(np.arange(first_block, first_block + len(mask)), 0)
     tau_text = _decimal.fixed(tau, 9)
-    for start in range(0, len(mask), CSV_CHUNK_BLOCKS):
-        stop = min(start + CSV_CHUNK_BLOCKS, len(mask))
-        mask_chunk = mask[start:stop]
-        differs = combined[start:stop] != mask_chunk
-        # one call, so that both fields have the same width
-        text = _decimal.scientific(np.concatenate(
-            [mask_chunk.ravel(), combined[start:stop][differs]]))
-        mask_text = text[:mask_chunk.size].reshape(mask_chunk.shape + (-1,))
-        combined_text = mask_text.copy()
-        combined_text[differs] = text[mask_chunk.size:]
-        fh.write(_decimal.csv_rows(
-            block[start:stop, np.newaxis], band, absolute, mask_text,
-            combined_text, tau_text[start:stop, np.newaxis]))
+    differs = combined != mask
+    # one call, so that both fields have the same width
+    text = _decimal.scientific(np.concatenate([mask.ravel(), combined[differs]]))
+    mask_text = text[:mask.size].reshape(mask.shape + (-1,))
+    combined_text = mask_text.copy()
+    combined_text[differs] = text[mask.size:]
+    fh.write(_decimal.csv_rows(block[:, np.newaxis], band, absolute, mask_text,
+                               combined_text, tau_text[:, np.newaxis]))
     return tau

@@ -320,7 +320,7 @@ def test_criterion_10_gradient_checks():
 
     def gp_loss():
         return wgan_gp_losses(
-            data, ad.constant(fake),
+            data, fake,
             lambda t: discriminator(t, d_params, cfg),
             gp_lambda=10.0, drift_epsilon=0.001,
             rng=np.random.default_rng(77),

@@ -14,7 +14,6 @@ from octaudio.audio_io import (
     AudioBuffer,
     read_wav,
     resample,
-    slice_segments,
     write_wav,
 )
 from octaudio.errors import IoError, ParseError, UnsupportedFormat
@@ -260,31 +259,6 @@ def test_resample_stereo_shape():
     buf = AudioBuffer(np.zeros((4410, 2)), 44100)
     out = resample(buf, 22016)
     assert out.samples.shape == (4410 * 22016 // 44100, 2)
-
-
-def test_slice_segments_exact():
-    buf = AudioBuffer(np.arange(10, dtype=float) / 10, 100)
-    segments = slice_segments(buf, 4, 4)
-    assert len(segments) == 2
-    np.testing.assert_array_equal(segments[0].samples[:, 0], buf.samples[0:4, 0])
-    np.testing.assert_array_equal(segments[1].samples[:, 0], buf.samples[4:8, 0])
-
-
-def test_slice_segments_overlapping():
-    buf = AudioBuffer(np.zeros(10), 100)
-    assert len(slice_segments(buf, 4, 2)) == 4
-
-
-def test_slice_segments_degenerate_empty():
-    buf = AudioBuffer(np.zeros(3), 100)
-    assert slice_segments(buf, 4, 4) == []
-
-
-def test_slice_segment_lengths_property():
-    rng = np.random.default_rng(3)
-    buf = AudioBuffer(rng.uniform(-1, 1, 137), 100)
-    for seg in slice_segments(buf, 16, 7):
-        assert len(seg) == 16
 
 
 def test_channel_length_invariant():

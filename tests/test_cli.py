@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octaudio import cli, mdct, psycho, spectral
+from octaudio import cli, datasets, mdct, psycho, spectral
 from octaudio.audio_io import AudioBuffer, read_wav, resample, write_wav
 from octaudio.cli import main
 from octaudio.config import load_config
@@ -886,6 +886,8 @@ def test_train_bad_config_exit_1(tmp_path, capsys):
         ("[audio]", "[audio]\ndb_reference = inf"),
         ("sample_rate_hz = 2048", "sample_rate_hz = 99999999999"),
         ("[train]", "[train]\ncheckpoint_every = -1"),
+        ("seed_bands = 4", "seed_bands = 6"),   # 12 output bands
+        ("seed_bands = 4", "seed_bands = 2"),   # 4 output bands
     ]:
         write_toy_config(config)
         config.write_text(config.read_text().replace(old, new))
@@ -960,7 +962,8 @@ def test_wav_dataset_downmixes_stereo_to_the_channel_mean(tmp_path):
     config.write_text(config.read_text().replace(
         "source = tones", f"source = wavs\npath = {tmp_path / 'wavs'}"))
     app = load_config(config)
-    tensors = cli._load_dataset(app, np.random.default_rng(0))
+    tensors = datasets.wav_dataset(app.data_path, app.sample_rate_hz,
+                                   *app.model.output_shape)
     mono = read_wav(wav).samples.mean(axis=1, keepdims=True)
     m, n, _ = app.model.output_shape
     assert len(tensors) == len(mono) // (m * n) > 1
@@ -1002,7 +1005,8 @@ def test_wav_corpus_repeats_a_mono_file_on_every_channel(tmp_path):
     write_wav(AudioBuffer(0.3 * np.random.default_rng(4).standard_normal(200),
                           2048), wav)
     app = load_config(config)
-    tensors = cli._load_dataset(app, np.random.default_rng(0))
+    tensors = datasets.wav_dataset(app.data_path, app.sample_rate_hz,
+                                   *app.model.output_shape)
     mono = read_wav(wav).samples
     m, n, _ = app.model.output_shape
     assert len(tensors) == len(mono) // (m * n) > 1
@@ -1019,7 +1023,8 @@ def test_wav_corpus_resamples_to_the_model_rate(tmp_path):
     write_wav(AudioBuffer(0.3 * np.random.default_rng(5).standard_normal(420),
                           4096), wav)
     app = load_config(config)
-    tensors = cli._load_dataset(app, np.random.default_rng(0))
+    tensors = datasets.wav_dataset(app.data_path, app.sample_rate_hz,
+                                   *app.model.output_shape)
     resampled = resample(read_wav(wav), 2048).samples
     m, n, _ = app.model.output_shape
     assert len(tensors) == len(resampled) // (m * n) > 1

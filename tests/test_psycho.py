@@ -10,7 +10,6 @@ from octaudio.audio_io import AudioBuffer
 from octaudio.mdct import MdctTensor, mdct_forward_fast, mdct_forward_naive
 from octaudio import psycho, spectral
 from octaudio.psycho import (
-    CSV_CHUNK_BLOCKS,
     absolute_threshold,
     absolute_threshold_db,
     bark_partition,
@@ -270,7 +269,7 @@ def csv_writer_thresholds(tensor, path):
 
 
 @pytest.mark.parametrize("blocks, channels", [
-    (3, 1), (CSV_CHUNK_BLOCKS, 2), (2 * CSV_CHUNK_BLOCKS + 5, 2),
+    (3, 1), (256, 2), (517, 2),
 ])
 def test_thresholds_csv_matches_csv_writer_bytes(tmp_path, blocks, channels):
     # levels from near silence to full scale, so that in some cells the

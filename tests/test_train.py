@@ -45,7 +45,7 @@ def test_linear_critic_penalty_closed_form():
     real = rng.standard_normal((3, 4, 4, 2))
     fake = rng.standard_normal((3, 4, 4, 2))
     loss_d, stats = wgan_gp_losses(
-        real, ad.constant(fake), sum_critic, gp_lambda=10.0,
+        real, fake, sum_critic, gp_lambda=10.0,
         drift_epsilon=0.0, rng=np.random.default_rng(1),
     )
     loss_g = generator_loss(ad.constant(fake), sum_critic)
@@ -122,7 +122,7 @@ def test_critic_step_matches_noise_fn_oracle(seed, batch, num_blocks, seed_block
                 return rng.standard_normal(x.shape) * sigma(x)
 
             loss_d, stats = wgan_gp_losses(
-                real + noise(real), ad.add(fake, ad.constant(noise(fake.data))),
+                real + noise(real), fake.data + noise(fake.data),
                 critic, 10.0, 0.001, rng,
             )
         else:
@@ -144,7 +144,7 @@ def test_drift_term_zero_for_zero_critic():
     rng = np.random.default_rng(2)
     real = rng.standard_normal((2, 2, 4, 1))
     loss_d, _ = wgan_gp_losses(
-        real, ad.constant(real.copy()), zero_critic, gp_lambda=0.0,
+        real, real.copy(), zero_critic, gp_lambda=0.0,
         drift_epsilon=5.0, rng=np.random.default_rng(3),
     )
     # D == 0 everywhere: only the (0-1)^2 gradient penalty term could remain,
@@ -155,7 +155,7 @@ def test_drift_term_zero_for_zero_critic():
 def test_wgan_shapes_must_match():
     with pytest.raises(ShapeError):
         wgan_gp_losses(
-            np.zeros((2, 4, 4, 1)), ad.constant(np.zeros((2, 4, 2, 1))),
+            np.zeros((2, 4, 4, 1)), np.zeros((2, 4, 2, 1)),
             sum_critic, 10.0, 0.0, np.random.default_rng(0),
         )
 
@@ -175,7 +175,7 @@ def test_gradient_penalty_parameter_gradient_matches_fd():
 
     def loss():
         return wgan_gp_losses(
-            real, ad.constant(fake), critic, gp_lambda=10.0,
+            real, fake, critic, gp_lambda=10.0,
             drift_epsilon=0.001, rng=np.random.default_rng(7),
         )[0]
 
@@ -501,7 +501,7 @@ def critic_step_bytes(cfg, d_params, real, fake):
     """The critic loss, its stats and its parameter gradients, as bytes."""
     names = sorted(d_params)
     loss_d, stats = wgan_gp_losses(
-        real, ad.constant(fake), lambda x: discriminator(x, d_params, cfg),
+        real, fake, lambda x: discriminator(x, d_params, cfg),
         10.0, 0.001, np.random.default_rng(4))
     grads = ad.grad(loss_d, [d_params[k] for k in names])
     return loss_d.data.tobytes(), stats, [g.data.tobytes() for g in grads]
