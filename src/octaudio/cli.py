@@ -10,6 +10,7 @@ to stderr).
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -42,10 +43,10 @@ EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 
 # Blocks per pass of the DSP commands' loops over the track. A pass holds a
-# few (K, N, C) arrays. On 60 s of 22016 Hz stereo at 128 bands, roundtrip
-# adds 63 MB to the process's peak RSS at 1024 blocks (42 MB of it the
-# (T, C) input and output), 127 MB at 4096 and 175 MB in one pass.
-PASS_BLOCKS = 1024
+# few (K, N, C) arrays, and two passes are alive at once (see _passes).
+# OpenBLAS rounds the thresholds of 256-block passes differently from the
+# whole track's; 512 keeps their bytes.
+PASS_BLOCKS = 512
 
 
 class _UsageError(Exception):
@@ -121,14 +122,44 @@ def _pass_bounds(num_blocks, unit=1):
     return zip(starts, starts[1:] + [num_blocks])
 
 
+def _passes(stage, bounds):
+    """Yield (m0, m1, stage(m0, m1)) for each block range of bounds, in
+    order, while one helper thread computes the next range's stage.
+
+    So the caller's work on one pass overlaps the stage of the next. The
+    next range but one is submitted only when the caller asks for the next
+    pass: a caller that drops a pass's arrays before asking holds at most
+    two passes. The stage runs under the caller's numpy error state, which
+    a new thread does not inherit, and its exception is raised here, in
+    the caller's thread. Iterate inside contextlib.closing, which joins the
+    helper however the loop ends.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+    errors = np.geterr()
+
+    def run(m0, m1):
+        with np.errstate(**errors):
+            return stage(m0, m1)
+
+    bounds = list(bounds)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        future = helper.submit(run, *bounds[0])
+        for (m0, m1), following in zip(bounds, bounds[1:] + [None]):
+            result = future.result()
+            if following:
+                future = helper.submit(run, *following)
+            yield m0, m1, result
+
+
 def cmd_analyze(args):
     """Forward MDCT, thresholds and tonality in one pass over the track.
 
-    Each pass appends its amplitudes to mdct.bin and its rows to
+    The helper thread computes the next pass's amplitudes and thresholds
+    while this one appends its amplitudes to mdct.bin and its rows to
     thresholds.csv, keeps its per-block tonality and updates the two image
     peaks. The images are then drawn pass by pass from mdct.bin, so
-    besides the (T, C) input only the (M,) tonality and two (N, M) uint8
-    images grow with the track.
+    besides the (T, C) input and two passes only the (M,) tonality and two
+    (N, M) uint8 images grow with the track.
     """
     bands = args.bands
     buf = _read_trimmed(args.wav, bands)
@@ -139,16 +170,21 @@ def cmd_analyze(args):
     mdct_path = os.path.join(args.out_dir, "mdct.bin")
     tau = np.empty(num_blocks)
     power_peak = amplitude_peak = 0.0     # channel-mean A^2, channel 0 |A|
+
+    def forward(m0, m1):
+        amps = mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes
+        return amps, psycho.compute_thresholds(amps, partition, args.alpha,
+                                               args.db_reference)
+
     with open(mdct_path, "wb") as mdct_fh, \
             open(os.path.join(args.out_dir, "thresholds.csv"), "w",
-                 newline="") as csv_fh:
+                 newline="") as csv_fh, \
+            contextlib.closing(_passes(forward, _pass_bounds(num_blocks))) \
+            as passes:
         mdct_fh.write(mdct.tensor_header(num_blocks, bands, channels, rate))
         csv_fh.write(psycho.THRESHOLDS_CSV_HEADER)
-        for m0, m1 in _pass_bounds(num_blocks):
-            amps = mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes
+        for m0, m1, (amps, thresholds) in passes:
             mdct.write_amplitudes(mdct_fh, amps)
-            thresholds = psycho.compute_thresholds(
-                amps, partition, args.alpha, args.db_reference)
             tau[m0:m1] = psycho.write_threshold_rows(csv_fh, thresholds, m0)
             power_peak = max(power_peak, (mdct.channel_sum(np.square(amps))
                                           / channels).max())
@@ -179,9 +215,11 @@ def cmd_analyze(args):
 def cmd_roundtrip(args):
     """Forward, noise and inverse in passes of PASS_BLOCKS blocks.
 
-    Every stage is exact per block, so only the (T, C) input and output
-    grow with the track. One generator draws the noise pass by pass, the
-    same stream as one draw.
+    The helper thread computes the next pass's amplitudes and noise sigma
+    while this one draws its noise, adds its band sums and laps its
+    inverse into the output. Every stage is exact per block, so only the
+    (T, C) input and output grow with the track. One generator draws the
+    noise pass by pass, the same stream as one draw.
     """
     bands = args.bands
     buf = _read_trimmed(args.wav, bands)
@@ -191,13 +229,20 @@ def cmd_roundtrip(args):
     out = np.empty_like(buf.samples)
     sums = np.zeros((2, bands))
     previous = None     # the last noisy block, a copy: not a view of a pass
-    for m0, m1 in _pass_bounds(num_blocks):
-        noisy = psycho.add_noise_and_report(
-            mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes, partition,
-            args.noise, rng, sums, args.alpha, args.db_reference)
-        mdct.mdct_inverse_into(out, noisy, m0, previous)
-        previous = noisy[-1].copy()
-        del noisy
+
+    def forward(m0, m1):
+        amps = mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes
+        return amps, psycho.noise_sigma(amps, partition, args.alpha,
+                                        args.db_reference)
+
+    with contextlib.closing(_passes(forward, _pass_bounds(num_blocks))) \
+            as passes:
+        for m0, m1, (amps, sigma) in passes:
+            noisy = psycho.add_noise_and_report(amps, sigma, args.noise, rng,
+                                                sums)
+            mdct.mdct_inverse_into(out, noisy, m0, previous)
+            previous = noisy[-1].copy()
+            del amps, sigma, noisy
     audio_io.write_wav(audio_io.AudioBuffer(out, buf.sample_rate_hz),
                        args.out_wav)
 
@@ -217,9 +262,11 @@ def cmd_reduce(args):
 
     Passes are whole multiples of 2^folds blocks, so each reduces to
     exactly its rows [m0 / 2^k, m1 / 2^k) of level k: blur_time pairs
-    blocks within the pass and fold_frequency works per block. Only each
-    level's channel-mean grid outlives a pass; each PGM is then drawn a
-    slice of columns at a time with its level's peak.
+    blocks within the pass and fold_frequency works per block. The helper
+    thread computes the next pass's levels while this one writes its
+    channel means into the grids. Only each level's channel-mean grid
+    outlives a pass; each PGM is then drawn a slice of columns at a time
+    with its level's peak.
     """
     bands, folds = args.bands, args.folds
     if folds >= bands.bit_length():     # before 2**folds sizes anything
@@ -227,12 +274,19 @@ def cmd_reduce(args):
     buf = _read_trimmed(args.wav, bands * 2 ** folds)
     num_blocks = len(buf) // bands
     grids = [np.empty((num_blocks >> k, bands >> k)) for k in range(folds + 1)]
-    for m0, m1 in _pass_bounds(num_blocks, 2 ** folds):
-        levels = spectral.reduce_spectrogram(spectral.spectrogram(
+
+    def forward(m0, m1):
+        return spectral.reduce_spectrogram(spectral.spectrogram(
             mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes), folds)
-        for k, values in enumerate(levels):
-            grids[k][m0 >> k:m1 >> k] = mdct.channel_sum(values) / buf.channels
-        del levels, values
+
+    with contextlib.closing(_passes(forward, _pass_bounds(num_blocks,
+                                                          2 ** folds))) \
+            as passes:
+        for m0, m1, levels in passes:
+            for k, values in enumerate(levels):
+                grids[k][m0 >> k:m1 >> k] = (mdct.channel_sum(values)
+                                             / buf.channels)
+            del levels, values
     os.makedirs(args.out_dir, exist_ok=True)
     for level, grid in enumerate(grids):
         peak = grid.max(initial=0.0)

@@ -154,10 +154,10 @@ def mdct_inverse_into(out, amplitudes, m0=0, previous=None):
 
     DCT-IV is its own inverse up to 2/N, so DCT-IV / N gives back the folded
     frames. The fold's adjoint (a, b, c, d) = (hi, -hi_r, -lo_r, -lo) is
-    windowed and overlap-added: first halves onto block m, second halves
-    onto block m + 1. The track's first and last N/2 samples lie under one
-    window only (their aliasing partner is in the zero padding), so they
-    are rescaled by 1/w^2.
+    windowed and overlap-added, straight into out: block m's first halves
+    onto samples [mN - N/2, mN + N/2), its second halves onto the next N.
+    The track's first and last N/2 samples lie under one window only (their
+    aliasing partner is in the zero padding), so they are rescaled by 1/w^2.
     """
     band_count, half = amplitudes.shape[1], amplitudes.shape[1] // 2
     num_blocks, m1 = len(out) // band_count, m0 + len(amplitudes)
@@ -173,20 +173,23 @@ def mdct_inverse_into(out, amplitudes, m0=0, previous=None):
     lo, hi = folded[..., :half], folded[..., half:]
     w = np.split(vorbis_window(band_count), 4)   # per quarter
 
-    acc = np.zeros((amplitudes.shape[2], len(amplitudes) + 1, band_count))
-    acc[:, :-1, :half] = hi * w[0]
-    acc[:, :-1, half:] = hi[..., ::-1] * -w[1]
-    acc[:, 1:, :half] -= lo[..., ::-1] * w[2]
-    acc[:, 1:, half:] -= lo * w[3]
-    start = (m1 - len(amplitudes)) * band_count - half   # where acc starts
-    begin = max(m0 * band_count - half, 0)
-    end = m1 * band_count - half if m1 < num_blocks else len(out)
-    y = acc.reshape(len(acc), -1)[:, begin - start:end - start]
-    if m0 == 0:
-        y[:, :half] /= w[1] * w[1]
-    if m1 == num_blocks:
-        y[:, -half:] /= w[2] * w[2]
-    out[begin:end] = y.T
+    # the samples that two of the K' = len(amplitudes) blocks overlap,
+    # [(m1 - K' + 1) N - N/2, m1 N - N/2), as a (C, K' - 1, N) view of out:
+    # block j's first half minus block j - 1's second half
+    start = (m1 - len(amplitudes) + 1) * band_count - half
+    laps = np.moveaxis(out[start:m1 * band_count - half].reshape(
+        len(amplitudes) - 1, band_count, out.shape[1]), 2, 0)
+    np.multiply(hi[:, 1:], w[0], out=laps[..., :half])
+    np.multiply(hi[:, 1:, ::-1], -w[1], out=laps[..., half:])
+    laps[..., :half] -= lo[:, :-1, ::-1] * w[2]
+    laps[..., half:] -= lo[:, :-1] * w[3]
+    if m0 == 0:     # block 0's second quarter alone
+        out[:half] = (hi[:, 0, ::-1] * -w[1] / (w[1] * w[1])).T
+    if m1 == num_blocks:    # block M - 1's third quarter alone, 0.0 - x
+        tail = np.zeros((amplitudes.shape[2], half))    # (a zero stays +0.0)
+        tail -= lo[:, -1, ::-1] * w[2]
+        tail /= w[2] * w[2]
+        out[m1 * band_count - half:m1 * band_count] = tail.T
 
 
 def mdct_inverse(tensor):

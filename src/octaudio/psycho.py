@@ -246,14 +246,13 @@ def psychoacoustic_noise(amplitudes, sigma, scale=1.0, rng_seed=0):
     return noisy
 
 
-def add_noise_and_report(amplitudes, partition, scale, rng, sums,
-                         alpha=DEFAULT_ALPHA, db_reference=DEFAULT_DB_REFERENCE):
-    """psychoacoustic_noise of (K, N, C) amplitudes at their noise_sigma.
+def add_noise_and_report(amplitudes, sigma, scale, rng, sums):
+    """psychoacoustic_noise of (K, N, C) amplitudes at the per-bin std
+    sigma, their noise_sigma.
 
     Adds to the (2, N) sums, per bin and over blocks and channels, the added
     power (row 0) and its ratio to sigma^2 (row 1; 0 where sigma is 0).
     """
-    sigma = noise_sigma(amplitudes, partition, alpha, db_reference)
     noisy = psychoacoustic_noise(amplitudes, sigma, scale, rng)
     added = noisy - amplitudes
     terms = np.zeros_like(added)

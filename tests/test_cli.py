@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import weakref
 
@@ -238,9 +239,10 @@ def test_noise_report_is_bitwise_the_whole_array_expressions(channels, noise):
         level = 10.0 ** rng.uniform(-12.0, 0.0, (blocks, 1, channels))
         level[::7] = 0.0
         amps = rng.standard_normal((blocks, bands, channels)) * level
-        noisy = psycho.add_noise_and_report(amps, partition, args.noise,
-                                            fast_rng, fast, args.alpha,
-                                            args.db_reference)
+        noisy = psycho.add_noise_and_report(
+            amps, psycho.noise_sigma(amps, partition, args.alpha,
+                                     args.db_reference),
+            args.noise, fast_rng, fast)
         expected = reference_noise_and_report(amps, partition, slow_rng,
                                               args, slow)
         np.testing.assert_array_equal(noisy, expected)
@@ -668,46 +670,155 @@ def pass_arrays(value):
             yield from pass_arrays(item)
 
 
+# where each stage a DSP command runs is called: the helper thread computes
+# a pass's independent stage, the main thread its in-order stage
+PASS_STAGES = {
+    "analyze": {(mdct, "mdct_forward_fast"): "helper",
+                (psycho, "compute_thresholds"): "helper"},
+    "roundtrip": {(mdct, "mdct_forward_fast"): "helper",
+                  (psycho, "noise_sigma"): "helper",
+                  (psycho, "compute_thresholds"): "helper",
+                  (psycho, "add_noise_and_report"): "main",
+                  (mdct, "mdct_inverse_into"): "main"},
+    "reduce": {(mdct, "mdct_forward_fast"): "helper",
+               (spectral, "spectrogram"): "helper",
+               (spectral, "reduce_spectrogram"): "helper"},
+}
+
+
+def thread_role():
+    return "main" if threading.current_thread() is threading.main_thread() \
+        else "helper"
+
+
 @pytest.mark.parametrize("command", ["analyze", "roundtrip", "reduce"])
 def test_pass_loops_free_each_pass_before_the_next(tmp_path, monkeypatch,
                                                    command):
-    # when pass k + 1's forward transform starts, every array made for pass
-    # k (its amplitudes, thresholds, spectrogram levels and noisy copy) is
-    # dead: a pass loop holds one pass, not two. Each stage the command runs
-    # is called once per pass, so a patch the command no longer calls
-    # fails the test instead of checking nothing.
-    made, starts, calls = [], [], {}
+    # The helper thread computes pass k + 1's stage while the main thread
+    # finishes pass k, so a loop holds two passes: when pass k + 1's forward
+    # transform starts, every array made for pass k - 1 or earlier (its
+    # amplitudes, thresholds, sigma, spectrogram levels and noisy copy) is
+    # dead. Whether main has made pass k's arrays by then depends on timing,
+    # so no count of live arrays is asserted. A forward's arrays are tagged
+    # with its pass, any other stage's with the pass of the tracked array it
+    # was given. The helper runs one pass at a time. Each stage the command
+    # runs is called once per pass, on the thread it belongs to, so a patch
+    # the command no longer calls fails the test instead of checking nothing.
+    lock = threading.Lock()
+    made = []           # (weak reference to an array's owner, its pass)
+    alive_at_forward = []   # per pass: the passes of the arrays then alive
+    calls, roles, busy, overlaps = {}, {}, {}, []
+
+    def pass_of(args):
+        for owner in pass_arrays(list(args)):
+            for ref, k in made:
+                if ref() is owner:
+                    return k
+        raise AssertionError("a stage was given no array of a pass")
 
     def track(module, name):
         fn = getattr(module, name)
 
         def call(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            if name == "mdct_forward_fast":
-                starts.append(sum(ref() is not None for ref in made))
-            result = fn(*args, **kwargs)
-            made.extend(weakref.ref(a) for a in pass_arrays(result))
+            role = thread_role()
+            with lock:
+                calls[name] = calls.get(name, 0) + 1
+                roles.setdefault(name, set()).add(role)
+                if name == "mdct_forward_fast":
+                    k = len(alive_at_forward)
+                    alive_at_forward.append(
+                        {p for ref, p in made if ref() is not None})
+                else:
+                    k = pass_of(args)
+                if role == "helper":
+                    busy[k] = busy.get(k, 0) + 1
+                    if sum(n > 0 for n in busy.values()) > 1:
+                        overlaps.append(k)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                if role == "helper":
+                    with lock:
+                        busy[k] -= 1
+            with lock:
+                made.extend((weakref.ref(a), k) for a in pass_arrays(result))
             return result
         monkeypatch.setattr(module, name, call)
 
-    monkeypatch.setattr(cli, "PASS_BLOCKS", 8)
-    stages = {
-        "analyze": [(mdct, "mdct_forward_fast"), (psycho, "compute_thresholds")],
-        "roundtrip": [(mdct, "mdct_forward_fast"), (psycho, "compute_thresholds"),
-                      (psycho, "add_noise_and_report"),
-                      (mdct, "mdct_inverse_into")],
-        "reduce": [(mdct, "mdct_forward_fast"), (spectral, "reduce_spectrogram")],
-    }
-    for module, name in {stage for run in stages.values() for stage in run}:
+    monkeypatch.setattr(cli, "PASS_BLOCKS", 4)    # 15 passes
+    for module, name in {stage for run in PASS_STAGES.values()
+                         for stage in run}:
         track(module, name)
     wav = tmp_path / "in.wav"
     rng = np.random.default_rng(0)
     write_wav(AudioBuffer(0.1 * rng.standard_normal((16 * 60, 2)), FS), wav)
     out = tmp_path / ("o.wav" if command == "roundtrip" else "o")
+    threads = threading.active_count()
     assert main([command, str(wav), str(out), "--bands", "16"]) == 0
-    assert len(starts) == 8 and made
-    assert starts == [0] * 8
-    assert calls == {name: 8 for _, name in stages[command]}
+    assert threading.active_count() == threads      # the helper is joined
+    assert len(alive_at_forward) == 15 and made
+    stale = [(k, sorted(p for p in alive if p < k - 1))
+             for k, alive in enumerate(alive_at_forward)]
+    assert stale == [(k, []) for k in range(15)]
+    assert overlaps == []
+    assert calls == {name: 15 for _, name in PASS_STAGES[command]}
+    assert roles == {name: {role} for (_, name), role
+                     in PASS_STAGES[command].items()}
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("analyze", mdct, "mdct_forward_fast"),
+    ("roundtrip", mdct, "mdct_forward_fast"),
+    ("reduce", mdct, "mdct_forward_fast"),
+    ("analyze", psycho, "write_threshold_rows"),
+    ("roundtrip", mdct, "mdct_inverse_into"),
+])
+@pytest.mark.parametrize("error, code, prefix", [
+    (MemoryError, 3, "compute error: "), (OSError, 2, "input error: ")])
+def test_a_stage_error_on_pass_2_exits_with_its_code(
+        tmp_path, capsys, monkeypatch, command, module, name, error, code,
+        prefix):
+    # a forward raises on the helper thread while main works on pass 1; the
+    # writes and the inverse raise on main while the helper works on pass 3.
+    # Either way main exits with the error's code and one stderr line, and
+    # the helper is joined first.
+    fn, raised = getattr(module, name), []
+
+    def failing(*args, **kwargs):
+        if len(raised) == 1:
+            raised.append(thread_role())
+            raise error("stage failed")
+        raised.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+    monkeypatch.setattr(cli, "PASS_BLOCKS", 4)
+    wav = tmp_path / "in.wav"
+    rng = np.random.default_rng(0)
+    write_wav(AudioBuffer(0.1 * rng.standard_normal((16 * 60, 2)), FS), wav)
+    out = tmp_path / ("o.wav" if command == "roundtrip" else "o")
+    threads = threading.active_count()
+    assert main([command, str(wav), str(out), "--bands", "16"]) == code
+    assert threading.active_count() == threads
+    assert raised[1] == PASS_STAGES[command].get((module, name), "main")
+    err = capsys.readouterr().err
+    assert err == prefix + "stage failed\n"
+
+
+@pytest.mark.parametrize("command, code, err", [
+    ("analyze", 0, ""),
+    ("roundtrip", 3, "compute error: tensor amplitudes must be finite\n")])
+def test_helper_stages_run_under_the_callers_error_state(tmp_path, capsys,
+                                                         command, code, err):
+    # --alpha 1e-300 overflows the masking powers, which main's np.errstate
+    # ignores (pytest makes a warning an error) and the finiteness checks
+    # answer; a thread starts with numpy's default error state, so the
+    # helper must take main's
+    wav = tmp_path / "in.wav"
+    write_tone(wav, seconds=1.0)
+    out = tmp_path / ("o.wav" if command == "roundtrip" else "o")
+    assert main([command, str(wav), str(out), "--alpha", "1e-300"]) == code
+    assert capsys.readouterr().err == err
 
 
 def test_shapes_published_95s_model(capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -227,6 +228,58 @@ def test_inverse_over_any_split_is_bitwise_the_whole(data, n, channels, blocks):
         for m0, m1 in zip(bounds, bounds[1:]):
             mdct_inverse_into(out, amps[m0:m1], m0, amps[m0 - 1] if m0 else None)
         assert out.tobytes() == whole.tobytes()
+
+
+def accumulator_inverse_into(out, amplitudes, m0=0, previous=None):
+    """mdct_inverse_into as it overlap-added into a (C, K + 1, N)
+    accumulator and then copied it, transposed, into out: the bytes that
+    writing the quarters straight into out must keep."""
+    band_count, half = amplitudes.shape[1], amplitudes.shape[1] // 2
+    num_blocks, m1 = len(out) // band_count, m0 + len(amplitudes)
+    if m0:
+        amplitudes = np.concatenate([previous[np.newaxis], amplitudes])
+    folded = scipy.fft.dct(np.moveaxis(amplitudes, 2, 0), type=4, axis=-1)
+    folded /= band_count
+    lo, hi = folded[..., :half], folded[..., half:]
+    w = np.split(vorbis_window(band_count), 4)
+    acc = np.zeros((amplitudes.shape[2], len(amplitudes) + 1, band_count))
+    acc[:, :-1, :half] = hi * w[0]
+    acc[:, :-1, half:] = hi[..., ::-1] * -w[1]
+    acc[:, 1:, :half] -= lo[..., ::-1] * w[2]
+    acc[:, 1:, half:] -= lo * w[3]
+    start = (m1 - len(amplitudes)) * band_count - half
+    begin = max(m0 * band_count - half, 0)
+    end = m1 * band_count - half if m1 < num_blocks else len(out)
+    y = acc.reshape(len(acc), -1)[:, begin - start:end - start]
+    if m0 == 0:
+        y[:, :half] /= w[1] * w[1]
+    if m1 == num_blocks:
+        y[:, -half:] /= w[2] * w[2]
+    out[begin:end] = y.T
+
+
+@pytest.mark.parametrize("n", [8, 128])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("blocks, size", [(1, 1), (2, 1), (5, 2), (13, 4),
+                                          (13, 13)])
+@pytest.mark.parametrize("layout", ["C", "F", "stepped"])
+def test_inverse_writes_the_accumulator_bytes_into_any_layout(
+        n, channels, blocks, size, layout):
+    # silent blocks of +0.0 and -0.0 too, so that the sign of a zero sample
+    # shows in the bytes
+    rng = np.random.default_rng(blocks * n + channels)
+    amps = rng.standard_normal((blocks, n, channels))
+    amps[::3], amps[1::4] = 0.0, -0.0
+    expected = np.full((blocks * n, channels), np.nan)
+    out = np.full((blocks * n, 2 * channels), np.nan,
+                  order="F" if layout == "F" else "C")
+    out = out[:, ::2] if layout == "stepped" else out[:, :channels]
+    for m0 in range(0, blocks, size):
+        m1 = min(m0 + size, blocks)
+        previous = amps[m0 - 1] if m0 else None
+        accumulator_inverse_into(expected, amps[m0:m1], m0, previous)
+        mdct_inverse_into(out, amps[m0:m1], m0, previous)
+    assert np.ascontiguousarray(out).tobytes() == expected.tobytes()
 
 
 def test_block_ranges_outside_the_track_raise():
