@@ -43,9 +43,11 @@ EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 
 # Blocks per pass of the DSP commands' loops over the track. A pass holds a
-# few (K, N, C) arrays, and two passes are alive at once (see _passes).
-# OpenBLAS rounds the thresholds of 256-block passes differently from the
-# whole track's; 512 keeps their bytes.
+# few (K, N, C) arrays, and two passes are alive at once (see _passes). On
+# 60 s of 22016 Hz stereo at 128 bands, roundtrip adds 54 MiB to a fresh
+# process's peak RSS (42 MB of it the (T, C) input and output). OpenBLAS
+# rounds the thresholds of 256-block passes differently from the whole
+# track's at some rates; 512 keeps their bytes.
 PASS_BLOCKS = 512
 
 
