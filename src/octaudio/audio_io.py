@@ -67,8 +67,8 @@ def read_wav(path):
     divided by 32768 and float samples taken as-is.
 
     Raises ParseError for malformed containers or non-finite float samples,
-    UnsupportedFormat for other codecs/bit-depths/channel counts, IoError if
-    the file cannot be read.
+    UnsupportedFormat for other codecs/bit-depths/channel counts or a rate
+    above MAX_SAMPLE_RATE_HZ, IoError if the file cannot be read.
     """
     try:
         with open(path, "rb") as fh:
@@ -106,6 +106,9 @@ def read_wav(path):
         raise UnsupportedFormat(f"{path}: {channels} channels not supported")
     if sample_rate <= 0:
         raise ParseError(f"{path}: invalid sample rate {sample_rate}")
+    if sample_rate > MAX_SAMPLE_RATE_HZ:
+        raise UnsupportedFormat(f"{path}: sample rate {sample_rate} Hz is "
+                                f"above {MAX_SAMPLE_RATE_HZ} Hz")
 
     if audio_format == 1 and bits == 16:
         dtype, scale = np.dtype("<i2"), 1.0 / INT16_FULL_SCALE

@@ -95,15 +95,16 @@ _BELOW_ZERO = _checked(float, lambda v: -math.inf < v < 0, "a finite number < 0"
 _FINITE = _checked(float, math.isfinite, "a finite number")
 
 
-def _read_trimmed(wav_path, chunk):
-    """Read a WAV and trim it to a multiple of chunk samples."""
-    buf = audio_io.read_wav(wav_path)
+def _read_blocks(wav, bands, unit=1):
+    """Read a WAV and trim it to a multiple of unit blocks of bands samples;
+    returns the trimmed buffer and its block count."""
+    buf = audio_io.read_wav(wav)
+    chunk = bands * unit
     usable = (len(buf) // chunk) * chunk
     if usable == 0:
-        raise ShapeError(
-            f"{wav_path}: needs at least {chunk} samples, has {len(buf)}"
-        )
-    return audio_io.AudioBuffer(buf.samples[:usable], buf.sample_rate_hz)
+        raise ShapeError(f"{wav}: needs at least {chunk} samples, has {len(buf)}")
+    return (audio_io.AudioBuffer(buf.samples[:usable], buf.sample_rate_hz),
+            usable // bands)
 
 
 def _pass_bounds(num_blocks, unit=1):
@@ -124,33 +125,36 @@ def _pass_bounds(num_blocks, unit=1):
     return zip(starts, starts[1:] + [num_blocks])
 
 
-def _passes(stage, bounds):
-    """Yield (m0, m1, stage(m0, m1)) for each block range of bounds, in
-    order, while one helper thread computes the next range's stage.
+def _passes(buf, bands, num_blocks, stage, unit=1):
+    """Yield (m0, m1, amps, stage(amps)) for each (m0, m1) of
+    _pass_bounds(num_blocks, unit), in order, where amps are the forward
+    MDCT amplitudes of buf's blocks m0..m1 - 1, of bands bands each.
 
-    So the caller's work on one pass overlaps the stage of the next. The
-    next range but one is submitted only when the caller asks for the next
-    pass: a caller that drops a pass's arrays before asking holds at most
-    two passes. The stage runs under the caller's numpy error state, which
-    a new thread does not inherit, and its exception is raised here, in
-    the caller's thread. Iterate inside contextlib.closing, which joins the
-    helper however the loop ends.
+    One helper thread computes the next range's amps and stage, so the
+    caller's work on one pass overlaps them. The next range but one is
+    submitted only when the caller asks for the next pass: a caller that
+    drops a pass's arrays before asking holds at most two passes. The
+    helper runs under the caller's numpy error state, which a new thread
+    does not inherit, and its exception is raised here, in the caller's
+    thread. Iterate inside contextlib.closing, which joins the helper
+    however the loop ends.
     """
     from concurrent.futures import ThreadPoolExecutor
     errors = np.geterr()
 
     def run(m0, m1):
         with np.errstate(**errors):
-            return stage(m0, m1)
+            amps = mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes
+            return amps, stage(amps)
 
-    bounds = list(bounds)
+    bounds = list(_pass_bounds(num_blocks, unit))
     with ThreadPoolExecutor(max_workers=1) as helper:
         future = helper.submit(run, *bounds[0])
         for (m0, m1), following in zip(bounds, bounds[1:] + [None]):
             result = future.result()
             if following:
                 future = helper.submit(run, *following)
-            yield m0, m1, result
+            yield m0, m1, *result
 
 
 def cmd_analyze(args):
@@ -164,28 +168,26 @@ def cmd_analyze(args):
     (N, M) uint8 images grow with the track.
     """
     bands = args.bands
-    buf = _read_trimmed(args.wav, bands)
+    buf, num_blocks = _read_blocks(args.wav, bands)
     rate, channels = buf.sample_rate_hz, buf.channels
-    num_blocks = len(buf) // bands
     partition = psycho.bark_partition(rate, bands)
     os.makedirs(args.out_dir, exist_ok=True)
     mdct_path = os.path.join(args.out_dir, "mdct.bin")
     tau = np.empty(num_blocks)
     power_peak = amplitude_peak = 0.0     # channel-mean A^2, channel 0 |A|
 
-    def forward(m0, m1):
-        amps = mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes
-        return amps, psycho.compute_thresholds(amps, partition, args.alpha,
-                                               args.db_reference)
+    def thresholds_of(amps):
+        return psycho.compute_thresholds(amps, partition, args.alpha,
+                                         args.db_reference)
 
     with open(mdct_path, "wb") as mdct_fh, \
             open(os.path.join(args.out_dir, "thresholds.csv"), "w",
                  newline="") as csv_fh, \
-            contextlib.closing(_passes(forward, _pass_bounds(num_blocks))) \
+            contextlib.closing(_passes(buf, bands, num_blocks, thresholds_of)) \
             as passes:
         mdct_fh.write(mdct.tensor_header(num_blocks, bands, channels, rate))
         csv_fh.write(psycho.THRESHOLDS_CSV_HEADER)
-        for m0, m1, (amps, thresholds) in passes:
+        for m0, m1, amps, thresholds in passes:
             mdct.write_amplitudes(mdct_fh, amps)
             tau[m0:m1] = psycho.write_threshold_rows(csv_fh, thresholds, m0)
             power_peak = max(power_peak, (mdct.channel_sum(np.square(amps))
@@ -224,22 +226,20 @@ def cmd_roundtrip(args):
     noise pass by pass, the same stream as one draw.
     """
     bands = args.bands
-    buf = _read_trimmed(args.wav, bands)
-    num_blocks = len(buf) // bands
+    buf, num_blocks = _read_blocks(args.wav, bands)
     partition = psycho.bark_partition(buf.sample_rate_hz, bands)
     rng = np.random.default_rng(args.seed)
     out = np.empty_like(buf.samples)
     sums = np.zeros((2, bands))
     previous = None     # the last noisy block, a copy: not a view of a pass
 
-    def forward(m0, m1):
-        amps = mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes
-        return amps, psycho.noise_sigma(amps, partition, args.alpha,
-                                        args.db_reference)
+    def sigma_of(amps):
+        return psycho.noise_sigma(amps, partition, args.alpha,
+                                  args.db_reference)
 
-    with contextlib.closing(_passes(forward, _pass_bounds(num_blocks))) \
+    with contextlib.closing(_passes(buf, bands, num_blocks, sigma_of)) \
             as passes:
-        for m0, m1, (amps, sigma) in passes:
+        for m0, m1, amps, sigma in passes:
             noisy = psycho.add_noise_and_report(amps, sigma, args.noise, rng,
                                                 sums)
             mdct.mdct_inverse_into(out, noisy, m0, previous)
@@ -273,22 +273,19 @@ def cmd_reduce(args):
     bands, folds = args.bands, args.folds
     if folds >= bands.bit_length():     # before 2**folds sizes anything
         raise ShapeError(f"{bands} bands do not halve {folds} times")
-    buf = _read_trimmed(args.wav, bands * 2 ** folds)
-    num_blocks = len(buf) // bands
+    buf, num_blocks = _read_blocks(args.wav, bands, 2 ** folds)
     grids = [np.empty((num_blocks >> k, bands >> k)) for k in range(folds + 1)]
 
-    def forward(m0, m1):
-        return spectral.reduce_spectrogram(spectral.spectrogram(
-            mdct.mdct_forward_fast(buf, bands, m0, m1).amplitudes), folds)
+    def levels_of(amps):
+        return spectral.reduce_spectrogram(spectral.spectrogram(amps), folds)
 
-    with contextlib.closing(_passes(forward, _pass_bounds(num_blocks,
-                                                          2 ** folds))) \
-            as passes:
-        for m0, m1, levels in passes:
+    with contextlib.closing(_passes(buf, bands, num_blocks, levels_of,
+                                    2 ** folds)) as passes:
+        for m0, m1, amps, levels in passes:
             for k, values in enumerate(levels):
                 grids[k][m0 >> k:m1 >> k] = (mdct.channel_sum(values)
                                              / buf.channels)
-            del levels, values
+            del amps, levels, values
     os.makedirs(args.out_dir, exist_ok=True)
     for level, grid in enumerate(grids):
         peak = grid.max(initial=0.0)

@@ -34,13 +34,14 @@ Files use `key = value` pairs under [section] headers (INI style):
     count = 64            ; tones: corpus size
     path = ./audio        ; wavs: directory of .wav files
 
-Unknown keys are rejected so typos fail fast. [audio] alpha and
-db_reference are defaults for the [train] noise layer. All randomness flows
-from [train] seed.
+The keys are the fields of ModelConfig, TrainConfig and AppConfig (see
+_section_keys). Unknown keys are rejected so typos fail fast. [audio] alpha
+and db_reference are defaults for the [train] noise layer. All randomness
+flows from [train] seed.
 """
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .audio_io import MAX_SAMPLE_RATE_HZ
 from .errors import ConfigError
@@ -59,38 +60,9 @@ def int_list(text):
     return tuple(int(part) for part in parts)
 
 
-_AUDIO_KEYS = {
-    "sample_rate_hz": int,
-    "alpha": float,
-    "db_reference": float,
-}
-_MODEL_KEYS = {
-    "latent_dim": int,
-    "num_blocks": int,
-    "seed_blocks": int,
-    "seed_bands": int,
-    "channels": int_list,
-    "output_channels": int,
-}
-_TRAIN_KEYS = {
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "n_critic": int,
-    "gp_lambda": float,
-    "drift_epsilon": float,
-    "batch_size": int,
-    "noise_scale": float,
-    "seed": int,
-    "iterations": int,
-    "checkpoint_every": int,
-    "freeze_blocks": int_list,
-}
-_DATA_KEYS = {
-    "source": str,
-    "count": int,
-    "path": str,
-}
+# [train]'s names for three of TrainConfig's fields
+_RENAMED = {"beta1": "adam_beta1", "beta2": "adam_beta2", "seed": "rng_seed"}
+_NOISE_FIELDS = ("alpha", "db_reference")     # TrainConfig's, set in [audio]
 
 
 @dataclass
@@ -118,11 +90,25 @@ class AppConfig:
                               "power of two >= 8")
 
 
-def _convert(section, key, kind, raw):
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+def _section_keys():
+    """Each section's {file key: converter}, from the dataclasses' fields: a
+    tuple field parses with int_list, any other with its annotated type."""
+    model, train, app = (
+        {f.name: int_list if f.type is tuple else f.type for f in fields(cls)}
+        for cls in (ModelConfig, TrainConfig, AppConfig))
+    field_keys = {field: key for key, field in _RENAMED.items()}
+    return {
+        "audio": {"sample_rate_hz": app["sample_rate_hz"],
+                  **{name: train.pop(name) for name in _NOISE_FIELDS}},
+        "model": model,
+        "train": {field_keys.get(name, name): kind
+                  for name, kind in train.items()},
+        "data": {name[len("data_"):]: kind for name, kind in app.items()
+                 if name.startswith("data_")},
+    }
+
+
+_KEYS = _section_keys()
 
 
 def _section(parser, name, known):
@@ -136,7 +122,10 @@ def _section(parser, name, known):
     for key, raw in items:
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
-        values[key] = _convert(name, key, known[key], raw)
+        try:
+            values[key] = known[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {key} = {raw!r}: {exc}") from exc
     return values
 
 
@@ -153,28 +142,20 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    audio = _section(parser, "audio", _AUDIO_KEYS)
-    model_raw = _section(parser, "model", _MODEL_KEYS)
-    train_raw = _section(parser, "train", _TRAIN_KEYS)
-    data = _section(parser, "data", _DATA_KEYS)
+    audio, model_raw, train_raw, data = (
+        _section(parser, name, keys) for name, keys in _KEYS.items())
 
-    try:
-        model_cfg = ModelConfig(**model_raw)
-    except TypeError as exc:
-        raise ConfigError(f"[model]: {exc}") from exc
-
-    rename = {"beta1": "adam_beta1", "beta2": "adam_beta2", "seed": "rng_seed"}
-    train_kwargs = {rename.get(k, k): v for k, v in train_raw.items()}
-    for key in ("alpha", "db_reference"):    # [audio] keys of the noise layer
+    # each section's keys are fields, so no keyword is unexpected
+    model_cfg = ModelConfig(**model_raw)
+    train_kwargs = {_RENAMED.get(k, k): v for k, v in train_raw.items()}
+    for key in _NOISE_FIELDS:
         if key in audio:
             train_kwargs[key] = audio.pop(key)
     try:
         train_cfg = TrainConfig(**train_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"[train]: {exc}") from exc
     except ConfigError as exc:
         message = str(exc)     # names TrainConfig's fields: name the file's keys
-        for key, field in rename.items():
+        for key, field in _RENAMED.items():
             message = message.replace(field, key)
         raise ConfigError(message) from None
     outside = [b for b in train_cfg.freeze_blocks

@@ -163,12 +163,11 @@ def generator_loss(fake, discriminator_fn):
 class TrainResult:
     checkpoint_path: str
     csv_path: str
-    wasserstein: np.ndarray
-    gen_tonality: np.ndarray
 
 
 def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
-    """Train on a list of MdctTensor samples; returns paths and histories.
+    """Train on a list of MdctTensor samples; returns the paths of the
+    checkpoint and of losses.csv, whose rows are the run's history.
 
     Raises DivergenceError (with the iteration index) if a loss goes
     non-finite, ShapeError if dataset samples do not match the model output.
@@ -219,8 +218,6 @@ def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "losses.csv")
     checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
-    wasserstein_hist = np.zeros(train_cfg.iterations)
-    tonality_hist = np.zeros(train_cfg.iterations)
 
     rows = 0
     fh = open(csv_path, "w", newline="")
@@ -263,8 +260,6 @@ def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
                 if not (np.isfinite(loss_d_value) and np.isfinite(loss_g_value)):
                     raise DivergenceError(it)
 
-                wasserstein_hist[it - 1] = stats["wasserstein"]
-                tonality_hist[it - 1] = gen_tau
                 writer.writerow([
                     it,
                     f"{loss_d_value:.17g}",
@@ -291,4 +286,4 @@ def train(dataset, model_cfg, train_cfg, out_dir, progress=None):
 
     save_checkpoint(checkpoint_path, {**g_params, **d_params}, model_cfg,
                     train_cfg.iterations, extra={"sample_rate_hz": sample_rate})
-    return TrainResult(checkpoint_path, csv_path, wasserstein_hist, tonality_hist)
+    return TrainResult(checkpoint_path, csv_path)

@@ -231,8 +231,10 @@ def psychoacoustic_noise(amplitudes, sigma, scale=1.0, rng_seed=0):
     bin.
 
     sigma is the per-bin std at scale = 1: noise_sigma of the amplitudes
-    makes the noise inaudible there. Deterministic given rng_seed; scale = 0
-    returns a copy of the input.
+    makes the noise inaudible there. rng_seed is a seed or a
+    numpy.random.Generator, which the draw advances; the result is
+    deterministic given a seed. scale = 0 returns a copy of the input and
+    draws nothing.
     """
     if not 0 <= scale < math.inf:
         raise ValueError("scale must be finite and non-negative")

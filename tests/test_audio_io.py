@@ -27,9 +27,9 @@ def make_wav_bytes(int16_frames, sample_rate=44100, channels=1,
     else:
         data = data_override
     frame = channels * bits // 8
-    fmt = struct.pack(
+    fmt = struct.pack(     # the byte rate wraps as the u32 field would
         "<IHHIIHH", 16, audio_format, channels, sample_rate,
-        sample_rate * frame, frame, bits,
+        sample_rate * frame % 2 ** 32, frame, bits,
     )
     chunks = b"fmt " + fmt
     if extra_chunk is not None:
@@ -95,6 +95,21 @@ def test_read_24bit_unsupported(tmp_path):
     )
     with pytest.raises(UnsupportedFormat):
         read_wav(path)
+
+
+@pytest.mark.parametrize("rate", [audio_io.MAX_SAMPLE_RATE_HZ + 1,
+                                  2 ** 32 - 1])
+def test_read_rate_above_the_bound_unsupported(tmp_path, rate):
+    # write_wav cannot write such a header's byte rate; the bound is the
+    # one --sample-rate, [audio] sample_rate_hz and checkpoints use
+    path = tmp_path / "t.wav"
+    path.write_bytes(make_wav_bytes([1, 2, 3, 4], sample_rate=rate, channels=2))
+    with pytest.raises(UnsupportedFormat, match=(
+            f"sample rate {rate} Hz is above {audio_io.MAX_SAMPLE_RATE_HZ} Hz")):
+        read_wav(path)
+    path.write_bytes(make_wav_bytes([1, 2, 3, 4], channels=2,
+                                    sample_rate=audio_io.MAX_SAMPLE_RATE_HZ))
+    assert read_wav(path).sample_rate_hz == audio_io.MAX_SAMPLE_RATE_HZ
 
 
 def test_read_garbage_is_parse_error(tmp_path):

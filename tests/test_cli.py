@@ -1,4 +1,5 @@
 import argparse
+import configparser
 import contextlib
 import csv
 import dataclasses
@@ -19,8 +20,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octaudio import cli, datasets, mdct, psycho, spectral
-from octaudio.audio_io import AudioBuffer, read_wav, resample, write_wav
+from octaudio import cli, config, datasets, mdct, psycho, spectral
+from octaudio.audio_io import (
+    MAX_SAMPLE_RATE_HZ,
+    AudioBuffer,
+    read_wav,
+    resample,
+    write_wav,
+)
 from octaudio.cli import main
 from octaudio.config import load_config
 from octaudio.errors import ConfigError, ShapeError
@@ -39,6 +46,7 @@ from octaudio.nn.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from test_audio_io import make_wav_bytes
 from test_psycho import csv_writer_thresholds
 
 FS = 22016
@@ -127,6 +135,22 @@ def test_analyze_non_finite_float_wav_exit_2(tmp_path, capsys):
     assert main(["analyze", str(wav), str(out)]) == 2
     assert_input_error(capsys)
     assert not (out / "thresholds.csv").exists()
+
+
+@pytest.mark.parametrize("rate", [MAX_SAMPLE_RATE_HZ + 1, 2 ** 32 - 1])
+@pytest.mark.parametrize("command", ["analyze", "roundtrip", "reduce"])
+def test_wav_rate_above_the_bound_exit_2_before_any_work(tmp_path, capsys,
+                                                         command, rate):
+    # roundtrip used to run every pass and fail in write_wav's header, and
+    # analyze and reduce to succeed
+    wav = tmp_path / "fast.wav"
+    wav.write_bytes(make_wav_bytes(np.zeros(1200), rate, channels=2))
+    out = tmp_path / ("o.wav" if command == "roundtrip" else "o")
+    assert main([command, str(wav), str(out)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"input error: {wav}: sample rate {rate} Hz is above "
+        f"{MAX_SAMPLE_RATE_HZ} Hz\n"))
+    assert not out.exists()
 
 
 def test_usage_error_exit_1(capsys):
@@ -1202,6 +1226,46 @@ iterations = 5
     assert app.train.iterations == 5
 
 
+# the file format: each section's keys, as files write them
+CONFIG_KEYS = {
+    "audio": {"sample_rate_hz", "alpha", "db_reference"},
+    "model": {"latent_dim", "num_blocks", "seed_blocks", "seed_bands",
+              "channels", "output_channels"},
+    "train": {"learning_rate", "beta1", "beta2", "n_critic", "gp_lambda",
+              "drift_epsilon", "batch_size", "noise_scale", "seed",
+              "iterations", "checkpoint_every", "freeze_blocks"},
+    "data": {"source", "count", "path"},
+}
+
+
+def test_config_docstring_example_sets_every_key_and_parses(tmp_path):
+    # the keys are derived from the dataclasses' fields; a field added or
+    # renamed there must not change the file format unnoticed
+    example = "\n".join(line[4:] for line in config.__doc__.splitlines()
+                        if line.startswith("    "))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read_string(example)
+    assert {name: set(parser[name]) for name in parser.sections()} \
+        == CONFIG_KEYS
+    path = tmp_path / "example.ini"
+    path.write_text(example)
+    load_config(path)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("audio", "rng_seed"), ("model", "output_shape"), ("train", "alpha"),
+    ("train", "adam_beta1"), ("data", "data_count")])
+def test_config_section_rejects_a_key_outside_the_format(tmp_path, section,
+                                                         key):
+    # a field's name where the file writes another key, or a field of
+    # another section, is an unknown key
+    path = tmp_path / "c.ini"
+    path.write_text(f"[{section}]\n{key} = 1\n")
+    with pytest.raises(ConfigError, match=(
+            rf"^unknown key '{key}' in section \[{section}\]$")):
+        load_config(path)
+
+
 @pytest.mark.parametrize("items", ["1,,1", "1,1,", ",1,1", "1, ,1"])
 @pytest.mark.parametrize("key", ["channels", "freeze_blocks"])
 def test_empty_integer_list_item_is_an_error(tmp_path, capsys, key, items):
@@ -1354,20 +1418,22 @@ ARGV_INVALID = ("nan", "inf", "-1", "", "1e308", "abc", "4x2", "1,2")
 
 @pytest.fixture(scope="module")
 def argv_files(tmp_path_factory):
-    """Input paths (a tiny stereo WAV, a mono 44.1 kHz WAV, a toy checkpoint,
-    a missing file) and output paths (a directory to make, an existing
-    file, a path under a missing directory; roundtrip writes each path
-    plus ".wav")."""
+    """Input paths (a tiny stereo WAV, a mono 44.1 kHz WAV, a stereo WAV
+    whose header says 2^31 Hz, a toy checkpoint, a missing file) and output
+    paths (a directory to make, an existing file, a path under a missing
+    directory; roundtrip writes each path plus ".wav")."""
     root = tmp_path_factory.mktemp("argv")
-    stereo, mono = root / "stereo.wav", root / "mono.wav"
+    stereo, mono, fast = (root / "stereo.wav", root / "mono.wav",
+                          root / "fast.wav")
     write_wav(AudioBuffer(
         0.1 * np.random.default_rng(0).standard_normal((600, 2)), FS), stereo)
     write_tone(mono, seconds=0.05, fs=44100)
+    fast.write_bytes(make_wav_bytes(np.zeros(1200), 2 ** 31, channels=2))
     checkpoint = root / "toy.ckpt"
     write_toy_checkpoint(checkpoint)
     taken = root / "taken"
     taken.write_bytes(b"taken")
-    inputs = [stereo, mono, checkpoint, root / "missing.wav"]
+    inputs = [stereo, mono, fast, checkpoint, root / "missing.wav"]
     outputs = [root / "out", taken, root / "missing" / "sub"]
     return [str(p) for p in inputs], [str(p) for p in outputs]
 
